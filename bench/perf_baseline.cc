@@ -35,6 +35,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
+#include "sim/runspec.hh"
 
 using namespace rowsim;
 
@@ -78,31 +79,32 @@ renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
                   "      \"hardware_concurrency\": %u,\n",
                   std::thread::hardware_concurrency());
     e += buf;
-    const char *ff = std::getenv("ROWSIM_FF");
+    // Each field echoes the knob's environment text (or its default).
+    const RunSpec spec = resolveRunSpec(SystemParams{});
+    auto knob = [&](const char *name, const char *unset) {
+        const std::string v = spec.envText(name);
+        return v.empty() ? std::string(unset) : v;
+    };
     std::snprintf(buf, sizeof(buf), "      \"fast_forward\": \"%s\",\n",
-                  ff && *ff ? ff : "default-on");
+                  knob("ROWSIM_FF", "default-on").c_str());
     e += buf;
-    const char *prof = std::getenv("ROWSIM_PROFILE");
     std::snprintf(buf, sizeof(buf), "      \"profile\": \"%s\",\n",
-                  prof && *prof ? prof : "off");
+                  knob("ROWSIM_PROFILE", "off").c_str());
     e += buf;
-    const char *spans = std::getenv("ROWSIM_SPANS");
     std::snprintf(buf, sizeof(buf), "      \"spans\": \"%s\",\n",
-                  spans && *spans ? spans : "off");
+                  knob("ROWSIM_SPANS", "off").c_str());
     e += buf;
     // Warmup-checkpoint mode (ROWSIM_CKPT): sim_cycles stays bit-stable
     // across modes by construction; wall_ms is expected to drop on
     // checkpoint-restored runs, and this field says which is which.
-    const char *ckpt = std::getenv("ROWSIM_CKPT");
     std::snprintf(buf, sizeof(buf), "      \"ckpt\": \"%s\",\n",
-                  ckpt && *ckpt ? ckpt : "off");
+                  knob("ROWSIM_CKPT", "off").c_str());
     e += buf;
     // Result-store mode (ROWSIM_RESULTS): a warm run served from the
     // store reports the same bit-stable sim_cycles with a far lower
     // wall_ms; this field keeps cold and warm entries tellable apart.
-    const char *results = std::getenv("ROWSIM_RESULTS");
     std::snprintf(buf, sizeof(buf), "      \"results\": \"%s\",\n",
-                  results && *results ? results : "off");
+                  knob("ROWSIM_RESULTS", "off").c_str());
     e += buf;
     // Execution mode (ROWSIM_MODE) and sampling layout (ROWSIM_SAMPLE):
     // func and sampled runs legitimately report different sim_cycles
@@ -110,13 +112,11 @@ renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
     // latter an extrapolated estimate), so the stability check groups
     // history entries by these two fields — the detail/func/sampled
     // perf triple lives in one file without tripping it.
-    const char *mode = std::getenv("ROWSIM_MODE");
     std::snprintf(buf, sizeof(buf), "      \"mode\": \"%s\",\n",
-                  mode && *mode ? mode : "detail");
+                  knob("ROWSIM_MODE", "detail").c_str());
     e += buf;
-    const char *sample = std::getenv("ROWSIM_SAMPLE");
     std::snprintf(buf, sizeof(buf), "      \"sampled\": \"%s\",\n",
-                  sample && *sample ? sample : "off");
+                  knob("ROWSIM_SAMPLE", "off").c_str());
     e += buf;
     // The iteration quota changes sim_cycles legitimately (longer run),
     // so the stability check also groups on it.
@@ -131,10 +131,10 @@ renderEntry(const std::vector<Sample> &samples, std::uint64_t quota)
     // engine samples every stats interval and the heartbeat writes
     // progress lines. Neither may move sim_cycles; the wall_ms delta
     // between an off/on entry pair is the probe overhead.
-    const char *ts = std::getenv("ROWSIM_TS");
-    const char *hb = std::getenv("ROWSIM_HEARTBEAT");
-    const char *telemetry = ts && *ts ? (hb && *hb ? "ts+heartbeat" : "ts")
-                                      : (hb && *hb ? "heartbeat" : "off");
+    const bool ts = !spec.envText("ROWSIM_TS").empty();
+    const bool hb = !spec.heartbeat.empty();
+    const char *telemetry = ts ? (hb ? "ts+heartbeat" : "ts")
+                               : (hb ? "heartbeat" : "off");
     std::snprintf(buf, sizeof(buf), "      \"telemetry\": \"%s\",\n",
                   telemetry);
     e += buf;

@@ -172,78 +172,58 @@ struct SystemParams
      *  cycles (deadlock detection; invariant #4 in DESIGN.md). */
     Cycle deadlockCycles = 2'000'000;
 
+    // The fields below override the ROWSIM_* environment knob of the
+    // same meaning when set (non-empty / non-zero); src/sim/runspec.hh
+    // documents each knob, its default and its precedence.
+
     /**
      * Idle fast-forward: when every core and memory-side component
      * reports no schedulable work before some future cycle, System::run
      * jumps the clock to that cycle instead of ticking through the idle
      * window. Simulated results are identical by construction (the skip
-     * bound is conservative); auto-disabled under fault injection, whose
-     * per-cycle RNG draws make the schedule depend on every tick.
-     * Env override: ROWSIM_FF=0 (off), 1 (on), check (tick through each
-     * predicted window and panic if anything would have happened).
+     * bound is conservative); auto-disabled under fault injection.
+     * ROWSIM_FF overrides this field.
      */
     bool idleFastForward = true;
 
-    // ---- observability (see src/common/trace.hh) ----
+    // ---- observability (src/common/trace.hh, src/common/stats.hh) ----
 
-    /** Trace categories to enable, same syntax as the ROWSIM_TRACE env
-     *  var ("atomic,coherence", "all"; empty = env var / off). */
+    /** Trace categories ("atomic,coherence", "all"). */
     std::string traceCategories;
-    /** Chrome trace-event JSON output path (empty = ROWSIM_TRACE_JSON
-     *  env var, or "rowsim.trace.json" when tracing is on). */
+    /** Chrome trace-event JSON output path. */
     std::string traceJsonPath;
-    /** Interval-stats sampling period in cycles (0 = the
-     *  ROWSIM_STATS_INTERVAL env var, or off). */
+    /** Interval-stats sampling period in cycles. */
     Cycle statsInterval = 0;
 
     // ---- self-checking & fault injection (src/sim/checker.hh,
     // ---- src/sim/faults.hh) ----
 
-    /** Invariant-checker categories, same syntax as the ROWSIM_CHECK env
-     *  var ("swmr,locks", "all"; empty = env var / off). */
+    /** Invariant-checker categories ("swmr,locks", "all"). */
     std::string checkCategories;
-    /** Cycles between whole-system checker sweeps (0 = the
-     *  ROWSIM_CHECK_INTERVAL env var, or 1024). */
+    /** Cycles between whole-system checker sweeps. */
     Cycle checkInterval = 0;
-    /** Fault-injection categories, same syntax as the ROWSIM_FAULTS env
-     *  var ("netdelay,evict", "all"; empty = env var / off). */
+    /** Fault-injection categories ("netdelay,evict", "all"). */
     std::string faultCategories;
-    /** Fault-injection RNG seed (0 = the ROWSIM_FAULTS_SEED env var, or
-     *  derived from `seed` — either way runs replay exactly). */
+    /** Fault-injection RNG seed (0: derived from `seed`, so runs
+     *  replay exactly either way). */
     std::uint64_t faultSeed = 0;
-    /** Fault probability in events per 10k opportunities (0 = the
-     *  ROWSIM_FAULTS_RATE env var, or 50). */
+    /** Fault probability in events per 10k opportunities. */
     unsigned faultRate = 0;
 
-    // ---- attribution profiler (src/sim/profile.hh) ----
+    // ---- attribution profiler, spans, time series ----
 
-    /** Profiler categories, same syntax as the ROWSIM_PROFILE env var
-     *  ("cpi,lines,row,pcs", "check", "all"; empty = env var / off).
-     *  Unlike the masks above this one is re-applied on every System
-     *  construction, so sweep workers never inherit a stale mask. */
+    /** Profiler categories ("cpi,lines,row,pcs", "check", "all"). */
     std::string profileCategories;
-
-    // ---- span tracing (src/sim/span.hh) ----
-
-    /** Atomic lifetime span tracing: "on"/"off" (and 0/1/yes/no
-     *  synonyms; empty = the ROWSIM_SPANS env var, or off). Re-applied
-     *  on every System construction, like profileCategories. */
+    /** Atomic lifetime span tracing ("on"/"off"). */
     std::string spans;
-
-    // ---- metric time series & convergence (src/common/timeseries.hh) ----
-
-    /** Metric time-series engine over the interval probes: "on"/"off"
-     *  (and 0/1/yes/no synonyms; empty = the ROWSIM_TS env var, or
-     *  off). Re-applied on every System construction, like
-     *  profileCategories. When on with no interval period configured, a
-     *  default period of 8192 cycles is used. */
+    /** Metric time-series engine over the interval probes ("on"/"off");
+     *  a default period of 8192 cycles applies when none is set. */
     std::string timeseries;
-    /** Convergence-bounded run: "<metric>:<rel_halfwidth>[:<confidence>]"
-     *  (empty = the ROWSIM_CONVERGE env var, or off). Implies the
-     *  time-series engine. The run stops at the first interval boundary
-     *  where the metric's batch-means CI half-width, relative to its
-     *  mean, is <= rel_halfwidth at the given confidence (default
-     *  0.95); the iteration quota stays the upper bound. */
+    /** Convergence-bounded run: "<metric>:<rel_halfwidth>[:<confidence>]".
+     *  Implies the time-series engine. The run stops at the first
+     *  interval boundary where the metric's batch-means CI half-width,
+     *  relative to its mean, is <= rel_halfwidth at the given confidence
+     *  (default 0.95); the iteration quota stays the upper bound. */
     std::string converge;
 
     // ---- execution mode (src/sim/funcmode.cc) ----
@@ -251,10 +231,10 @@ struct SystemParams
     /** Execution mode: "detail" (cycle-accurate out-of-order pipeline)
      *  or "func" (multi-instruction-per-tick functional interpreter
      *  that keeps caches, directory state, and branch/RoW predictors
-     *  warm while skipping ROB/LSQ/AQ bookkeeping). Empty = the
-     *  ROWSIM_MODE env var, or detail. Deliberately excluded from
-     *  configFingerprint: checkpoints written by a functional warm-up
-     *  restore into a detail run of the same architectural config. */
+     *  warm while skipping ROB/LSQ/AQ bookkeeping). Deliberately
+     *  excluded from configFingerprint: checkpoints written by a
+     *  functional warm-up restore into a detail run of the same
+     *  architectural config. */
     std::string mode;
 };
 

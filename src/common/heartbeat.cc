@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
@@ -24,30 +23,6 @@ namespace
 std::atomic<bool> sinkDisarmed{false};
 
 } // namespace
-
-bool
-Heartbeat::enabled()
-{
-    if (sinkDisarmed.load(std::memory_order_relaxed))
-        return false;
-    const char *env = std::getenv("ROWSIM_HEARTBEAT");
-    return env && *env;
-}
-
-std::string
-Heartbeat::path()
-{
-    const char *env = std::getenv("ROWSIM_HEARTBEAT");
-    return (env && *env) ? env : "";
-}
-
-std::uint64_t
-Heartbeat::periodMs()
-{
-    if (const char *env = std::getenv("ROWSIM_HEARTBEAT_MS"); env && *env)
-        return parseEnvU64("ROWSIM_HEARTBEAT_MS", env);
-    return 250;
-}
 
 std::uint64_t
 Heartbeat::wallMs()
@@ -77,16 +52,15 @@ Heartbeat::rssKb()
 }
 
 void
-Heartbeat::emitLine(const std::string &json)
+Heartbeat::emitLine(const std::string &path, const std::string &json)
 {
-    const std::string p = path();
-    if (p.empty() || sinkDisarmed.load(std::memory_order_relaxed))
+    if (path.empty() || sinkDisarmed.load(std::memory_order_relaxed))
         return;
     const std::string line = json + "\n";
     // One O_APPEND write per event: threads and forked sweep workers
     // sharing the sink interleave whole lines, never fragments.
     const int fd =
-        ::open(p.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     bool failed = fd < 0;
     if (!failed) {
         failed = ::write(fd, line.data(), line.size()) !=
@@ -96,13 +70,14 @@ Heartbeat::emitLine(const std::string &json)
     if (failed && !sinkDisarmed.exchange(true)) {
         ROWSIM_WARN("heartbeat: cannot append to '%s': %s; sink "
                     "disabled for this process",
-                    p.c_str(), std::strerror(errno));
+                    path.c_str(), std::strerror(errno));
     }
 }
 
 void
-Heartbeat::emitRun(Cycle cycle, std::uint64_t iters,
-                   std::uint64_t quotaTotal, double kcps, double etaMs)
+Heartbeat::emitRun(const std::string &path, Cycle cycle,
+                   std::uint64_t iters, std::uint64_t quotaTotal,
+                   double kcps, double etaMs)
 {
     const double frac =
         quotaTotal ? static_cast<double>(iters) /
@@ -119,13 +94,14 @@ Heartbeat::emitRun(Cycle cycle, std::uint64_t iters,
     if (etaMs >= 0)
         j += strprintf("\"etaMs\":%.0f,", etaMs);
     j += strprintf("\"rssKb\":%ld}", rssKb());
-    emitLine(j);
+    emitLine(path, j);
 }
 
 void
-Heartbeat::emitJob(std::size_t index, const char *state,
-                   const std::string &workload, const std::string &config,
-                   unsigned attempt, const char *status)
+Heartbeat::emitJob(const std::string &path, std::size_t index,
+                   const char *state, const std::string &workload,
+                   const std::string &config, unsigned attempt,
+                   const char *status)
 {
     std::string j = strprintf(
         "{\"ev\":\"job\",\"wall\":%llu,\"job\":\"j%zu\",\"state\":\"%s\","
@@ -135,12 +111,13 @@ Heartbeat::emitJob(std::size_t index, const char *state,
     if (status)
         j += strprintf(",\"status\":\"%s\"", status);
     j += "}";
-    emitLine(j);
+    emitLine(path, j);
 }
 
 void
-Heartbeat::emitSweep(const char *state, std::size_t jobs, std::size_t ok,
-                     std::size_t failed, const char *isolation)
+Heartbeat::emitSweep(const std::string &path, const char *state,
+                     std::size_t jobs, std::size_t ok, std::size_t failed,
+                     const char *isolation)
 {
     std::string j = strprintf(
         "{\"ev\":\"sweep\",\"wall\":%llu,\"state\":\"%s\",\"jobs\":%zu,"
@@ -149,7 +126,7 @@ Heartbeat::emitSweep(const char *state, std::size_t jobs, std::size_t ok,
     if (std::strcmp(state, "end") == 0)
         j += strprintf(",\"ok\":%zu,\"failed\":%zu", ok, failed);
     j += "}";
-    emitLine(j);
+    emitLine(path, j);
 }
 
 } // namespace rowsim

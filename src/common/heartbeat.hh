@@ -40,40 +40,35 @@ namespace rowsim
 class Heartbeat
 {
   public:
-    /** True when ROWSIM_HEARTBEAT names a sink file. */
-    static bool enabled();
-    /** The sink path (empty when disabled). */
-    static std::string path();
-    /** Minimum wall-clock gap between run events in ms
-     *  (ROWSIM_HEARTBEAT_MS, default 250). */
-    static std::uint64_t periodMs();
-
     /** Wall clock in ms since the Unix epoch. */
     static std::uint64_t wallMs();
     /** Resident set size in KiB; -1 when the platform cannot say. */
     static long rssKb();
 
+    // Every emitter appends to the sink file @p path (ROWSIM_HEARTBEAT,
+    // resolved by the caller's RunSpec); an empty path emits nothing.
+
     /** Append one complete JSON line (the newline is added here) with a
      *  single O_APPEND write. Best-effort: failures warn once and the
      *  sink disarms for the rest of the process. */
-    static void emitLine(const std::string &json);
+    static void emitLine(const std::string &path, const std::string &json);
 
     /** Periodic run-progress event. @p etaMs < 0 means unknown. */
-    static void emitRun(Cycle cycle, std::uint64_t iters,
-                        std::uint64_t quotaTotal, double kcps,
-                        double etaMs);
+    static void emitRun(const std::string &path, Cycle cycle,
+                        std::uint64_t iters, std::uint64_t quotaTotal,
+                        double kcps, double etaMs);
 
     /** Sweep-job lifecycle event; @p status may be null (non-terminal
      *  states). */
-    static void emitJob(std::size_t index, const char *state,
-                        const std::string &workload,
+    static void emitJob(const std::string &path, std::size_t index,
+                        const char *state, const std::string &workload,
                         const std::string &config, unsigned attempt,
                         const char *status);
 
     /** Sweep start/end event; ok/failed only meaningful at "end". */
-    static void emitSweep(const char *state, std::size_t jobs,
-                          std::size_t ok, std::size_t failed,
-                          const char *isolation);
+    static void emitSweep(const std::string &path, const char *state,
+                          std::size_t jobs, std::size_t ok,
+                          std::size_t failed, const char *isolation);
 };
 
 } // namespace rowsim

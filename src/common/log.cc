@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/runspec.hh"
+
 namespace rowsim
 {
 
@@ -19,10 +21,7 @@ levelStorage()
 {
     // Atomic so sweep workers can warn() while another thread calls
     // setLogLevel (or is still inside first-use initialisation).
-    static std::atomic<LogLevel> level = [] {
-        const char *env = std::getenv("ROWSIM_LOG_LEVEL");
-        return env && *env ? parseLogLevel(env) : LogLevel::Info;
-    }();
+    static std::atomic<LogLevel> level = envLogLevel();
     return level;
 }
 

@@ -105,15 +105,6 @@ Trace::~Trace()
     closeAll();
 }
 
-void
-Trace::disableThisThread()
-{
-    envInitDone_ = true;
-    mask_ = 0;
-    sinkMask_ = 0;
-    ringMask_ = 0;
-}
-
 std::string
 suffixJobPath(const std::string &path, const std::string &key)
 {
@@ -139,7 +130,6 @@ Trace::scopeToJob(const std::string &key)
     mask_ = 0;
     jobKey_ = key;
     envInitDone_ = false;
-    initFromEnv();
 }
 
 const std::string &
@@ -149,35 +139,28 @@ Trace::jobKey()
 }
 
 void
-Trace::initFromEnv()
+Trace::initOnce(const TraceSetup &env)
 {
     if (envInitDone_)
         return;
     envInitDone_ = true;
 
     Trace &t = instance();
-    if (const char *ring = std::getenv("ROWSIM_TRACE_RING"); ring && *ring)
-        t.enableRing(static_cast<std::size_t>(
-            parseEnvU64("ROWSIM_TRACE_RING", ring)));
-
-    const char *spec = std::getenv("ROWSIM_TRACE");
-    if (!spec || !*spec)
+    if (env.ring)
+        t.enableRing(env.ring);
+    if (!env.mask)
         return;
-    t.configure(parseTraceCategories(spec));
-    if (sinkMask_ == 0)
-        return;
+    t.configure(env.mask);
 
-    if (const char *path = std::getenv("ROWSIM_TRACE_FILE");
-        path && *path) {
-        const std::string p = suffixJobPath(path, jobKey_);
+    if (!env.file.empty()) {
+        const std::string p = suffixJobPath(env.file, jobKey_);
         std::FILE *f = std::fopen(p.c_str(), "w");
         if (!f)
             ROWSIM_FATAL("cannot open trace text file '%s'", p.c_str());
         t.setTextSink(f, true);
     }
-    const char *json = std::getenv("ROWSIM_TRACE_JSON");
-    t.openJson(suffixJobPath(json && *json ? json : "rowsim.trace.json",
-                             jobKey_));
+    t.openJson(suffixJobPath(
+        env.json.empty() ? "rowsim.trace.json" : env.json, jobKey_));
 }
 
 void

@@ -57,6 +57,20 @@ const char *traceCategoryName(TraceCategory c);
  */
 std::uint32_t parseTraceCategories(const std::string &spec);
 
+/** The environment's trace request (ROWSIM_TRACE, ROWSIM_TRACE_RING,
+ *  ROWSIM_TRACE_FILE, ROWSIM_TRACE_JSON), resolved by resolveRunSpec. */
+struct TraceSetup
+{
+    /** Sink categories; 0 leaves the thread's mask as it is. */
+    std::uint32_t mask = 0;
+    /** Retroactive ring capacity in events; 0 leaves the ring off. */
+    std::size_t ring = 0;
+    /** Text sink path; empty = stderr. */
+    std::string file;
+    /** Chrome-trace JSON path; empty = "rowsim.trace.json". */
+    std::string json;
+};
+
 /** Chrome-trace process-id conventions (one "process" per component). */
 constexpr int tracePidDirBase = 1000; ///< directory bank b -> 1000 + b
 constexpr int tracePidNetwork = 2000; ///< the mesh
@@ -82,32 +96,21 @@ class Trace
     }
 
     /**
-     * One-time initialisation from the environment (ROWSIM_TRACE,
-     * ROWSIM_TRACE_FILE, ROWSIM_TRACE_JSON); idempotent per thread.
-     * System calls this at construction so env-var tracing works for
-     * every bench and example without code changes. When ROWSIM_TRACE
-     * selects categories and ROWSIM_TRACE_JSON is unset, the Chrome
-     * trace defaults to "rowsim.trace.json" in the working directory.
+     * One-time initialisation from the environment's request; idempotent
+     * per thread (until scopeToJob). System calls this at construction
+     * so env-var tracing works for every bench and example without code
+     * changes. When @p env selects categories and names no JSON path,
+     * the Chrome trace defaults to "rowsim.trace.json" in the working
+     * directory.
      */
-    static void initFromEnv();
-
-    /**
-     * Mark this thread's trace state as initialised-and-off, so a later
-     * initFromEnv() is a no-op. Sweep worker threads call this before
-     * constructing Systems: otherwise every worker would re-read
-     * ROWSIM_TRACE and open (and clobber) the same sink files
-     * concurrently. The main thread's sinks are unaffected — all trace
-     * state is thread-local.
-     */
-    static void disableThisThread();
+    static void initOnce(const TraceSetup &env);
 
     /**
      * Scope this thread's trace sinks to one sweep job: close any open
-     * sinks, then re-run env initialisation with @p key as the job key,
-     * so ROWSIM_TRACE_FILE / ROWSIM_TRACE_JSON paths are suffixed (see
-     * suffixJobPath) and concurrent jobs never clobber or interleave
-     * one file. Sweep workers call this per job instead of
-     * disableThisThread().
+     * sinks and re-arm initOnce() with @p key as the job key, so the
+     * ROWSIM_TRACE_FILE / ROWSIM_TRACE_JSON paths of the job's System
+     * are suffixed (see suffixJobPath) and concurrent jobs never
+     * clobber or interleave one file.
      */
     static void scopeToJob(const std::string &key);
 
@@ -214,7 +217,7 @@ class Trace
     static inline thread_local std::uint32_t sinkMask_ = 0;
     static inline thread_local std::uint32_t ringMask_ = 0;
     static inline thread_local Cycle now_ = 0;
-    /** Per-thread "initFromEnv already ran" latch. */
+    /** Per-thread "initOnce already ran" latch. */
     static inline thread_local bool envInitDone_ = false;
     /** This thread's sweep job key ("" on the main thread). */
     static inline thread_local std::string jobKey_;

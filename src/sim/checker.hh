@@ -84,12 +84,6 @@ class Checker
     static void configure(std::uint32_t mask) { mask_ = mask; }
     static std::uint32_t mask() { return mask_; }
 
-    /** One-time env-var initialisation (ROWSIM_CHECK,
-     *  ROWSIM_CHECK_INTERVAL); idempotent. */
-    static void initFromEnv();
-    /** Sweep interval from ROWSIM_CHECK_INTERVAL (default 1024). */
-    static Cycle envInterval();
-
     /** Called every tick when any category is enabled; runs a sweep
      *  every `interval` cycles. */
     void

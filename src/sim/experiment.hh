@@ -192,13 +192,6 @@ RunResult runExperiment(const std::string &workload, const ExpConfig &cfg,
 SystemParams makeParams(const ExpConfig &cfg, unsigned num_cores,
                         std::uint64_t seed);
 
-/** Resolve the execution mode for @p params — SystemParams::mode when
- *  set, else the ROWSIM_MODE environment, else detail. True means the
- *  functional fast-mode interpreter; anything but "detail"/"func" is a
- *  user error (fatal). Shared by the run path and the result-store key
- *  (the two must never disagree on what a key means). */
-bool funcModeFor(const SystemParams &params);
-
 /**
  * Run @p workload with explicit SystemParams — the entry point for
  * microarchitectural ablations (AQ size, re-issue delay, lock-steal

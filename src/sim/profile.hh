@@ -103,7 +103,10 @@ const char *cpiBucketName(CpiBucket b);
 class Profiler
 {
   public:
-    Profiler(unsigned num_cores, unsigned commit_width);
+    /** @p top_k bounds the lines in the contention dump
+     *  (ROWSIM_PROFILE_TOPK). */
+    Profiler(unsigned num_cores, unsigned commit_width,
+             std::uint64_t top_k);
 
     /** Fast inline gates. */
     static bool anyEnabled() { return mask_ != 0; }
@@ -116,9 +119,6 @@ class Profiler
     /** Programmatic mask control (tests, SystemParams). */
     static void configure(std::uint32_t mask) { mask_ = mask; }
     static std::uint32_t mask() { return mask_; }
-
-    /** Mask from ROWSIM_PROFILE ("" => 0); parsed once per process. */
-    static std::uint32_t envMask();
 
     /** Mask captured at construction: what this instance collected. */
     std::uint32_t activeMask() const { return activeMask_; }
@@ -267,16 +267,14 @@ class Profiler
     const std::unordered_map<Addr, PcProf> &pcs() const { return pcs_; }
 
     /** Single-line JSON of everything collected (top-K lines by
-     *  holdCycles; K from ROWSIM_PROFILE_TOPK, default 16). */
+     *  holdCycles). */
     std::string toJson() const;
-
-    /** Top-K override hook (tests); 0 restores the env/default value. */
-    static void setTopK(std::uint64_t k) { topKOverride_ = k; }
 
   private:
     unsigned numCores_;
     unsigned commitWidth_;
     std::uint32_t activeMask_;
+    std::uint64_t topK_;
 
     std::vector<CpiStack> cpi_;
     std::unordered_map<Addr, LineProf> lines_;
@@ -286,7 +284,6 @@ class Profiler
     // Thread-local like the trace/check masks: each sweep worker gates
     // independently; setupProfiling resets it per System construction.
     static inline thread_local std::uint32_t mask_ = 0;
-    static inline std::uint64_t topKOverride_ = 0;
 };
 
 } // namespace rowsim

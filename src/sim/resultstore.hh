@@ -5,12 +5,11 @@
  * Every completed run can be persisted under a key that captures
  * everything the result depends on: the configuration fingerprint
  * (architecture, seed, fault-injection setup), the workload, the
- * resolved per-core quota, the config label, the effective
- * observability knobs that shape the RunResult (profiler mask, span
- * gate, interval-stats period), and the result-schema version. Reruns
- * with an identical key are served from disk — byte-identical, in
- * microseconds — so figure regressions become incremental queries
- * instead of hour-long batches.
+ * resolved per-core quota, the config label, every RunSpec field whose
+ * knob is flagged as affecting results (sim/runspec.hh), and the
+ * result-schema version. Reruns with an identical key are served from
+ * disk — byte-identical, in microseconds — so figure regressions become
+ * incremental queries instead of hour-long batches.
  *
  * The store is designed to survive anything the execution layer throws
  * at it: entries are written atomically (tmp + rename via common/io),
@@ -22,7 +21,7 @@
  *
  * Enabled via ROWSIM_RESULTS=on (directory: ROWSIM_RESULTS_DIR,
  * default "rowsim-results"); the experiment layer consults it in
- * runExperiment / runExperimentParams (see ResultStore::fromEnv).
+ * runExperiment / runExperimentParams (see ResultStore::forRun).
  */
 
 #ifndef ROWSIM_SIM_RESULTSTORE_HH
@@ -35,11 +34,10 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/runspec.hh"
 
 namespace rowsim
 {
-
-struct SystemParams;
 
 /** Version of the serialized RunResult payload. Bumped on any layout
  *  change; it is part of the key preimage, so a bump turns every old
@@ -69,21 +67,20 @@ class ResultStore
     explicit ResultStore(std::string dir);
 
     /**
-     * The store the environment asks for: nullptr unless
-     * ROWSIM_RESULTS is on (on/1/yes/true; off/0/no/false/unset
-     * disable; anything else is a user error). ROWSIM_RESULTS_DIR
-     * overrides the default "rowsim-results" directory.
+     * The store a run under @p spec may use: nullptr unless
+     * ROWSIM_RESULTS is on, and nullptr when the run feeds a live sink
+     * a stored result cannot replay (RunSpec::liveSinks), so such a run
+     * neither loads nor stores.
      */
-    static std::unique_ptr<ResultStore> fromEnv();
+    static std::unique_ptr<ResultStore> forRun(const RunSpec &spec);
 
     /**
-     * Key for one (params, workload, label, quota) run. Includes the
-     * config fingerprint (resolved exactly as a live System would —
-     * fault env vars and all), the result-schema version, and the
-     * effective profiler / span / interval-stats settings, since those
-     * change which RunResult fields are populated.
+     * Key for one (params, workload, label, quota) run resolved into
+     * @p spec: the result-schema version, the config fingerprint (with
+     * the spec's fault setup, exactly as a live System builds it), and
+     * every spec field whose knob affects results.
      */
-    static ResultKey keyFor(const SystemParams &params,
+    static ResultKey keyFor(const RunSpec &spec, const SystemParams &params,
                             const std::string &workload,
                             const std::string &label, std::uint64_t quota);
 
@@ -100,6 +97,16 @@ class ResultStore
      * `<entry>.quarantined` and reported as a miss. Never throws.
      */
     bool load(const ResultKey &key, RunResult &out);
+
+    /**
+     * load() for a run that wants (@p want_stats) or does not want
+     * statsJson: a hit is served only if it returns what a fresh run
+     * would. An entry written by a no-stats run cannot serve a caller
+     * that wants statsJson (a miss: the recompute upgrades the entry);
+     * a served hit drops statsJson the caller did not ask for and is
+     * marked fromCache.
+     */
+    bool serve(const ResultKey &key, bool want_stats, RunResult &out);
 
     /**
      * Persist @p r under @p key (atomic write; concurrent writers on

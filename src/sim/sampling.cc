@@ -1,19 +1,17 @@
 #include "sim/sampling.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <type_traits>
 
-#include "common/heartbeat.hh"
 #include "common/log.hh"
 #include "common/timeseries.hh"
-#include "common/trace.hh"
-#include "sim/profile.hh"
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
+#include "sim/snapshot.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -54,14 +52,6 @@ parseSampleSpec(const char *name, const std::string &spec)
     return s;
 }
 
-SampleSpec
-sampleSpecFromEnv()
-{
-    if (const char *env = std::getenv("ROWSIM_SAMPLE"); env && *env)
-        return parseSampleSpec("ROWSIM_SAMPLE", env);
-    return {};
-}
-
 std::vector<std::uint64_t>
 sampleGrid(std::uint64_t quota, unsigned n)
 {
@@ -74,18 +64,38 @@ sampleGrid(std::uint64_t quota, unsigned n)
 namespace
 {
 
-/** Additive counters snapshotted before the measured segment so the
- *  window reports deltas (the detail warm-up and — for the instruction
- *  counters — the functional prefix are both excluded). */
-struct CounterBaseline
+/**
+ * Merge one named per-core histogram across every core and read its
+ * tail percentiles. Leaves the outputs untouched when no core recorded
+ * the histogram (profiling off / no samples).
+ */
+void
+mergedPercentiles(System &sys, const char *name, double &p50, double &p90,
+                  double &p99)
 {
-    Cycle cycle = 0;
-    std::uint64_t insts = 0, atomics = 0;
-    std::uint64_t unlocked = 0, detected = 0, oracle = 0;
-    std::uint64_t forwarded = 0, promoted = 0, forced = 0;
-    std::uint64_t eager = 0, lazy = 0;
-    std::uint64_t predUpdates = 0, predCorrect = 0;
-};
+    const Histogram *first = nullptr;
+    for (CoreId c = 0; c < sys.numCores(); c++) {
+        if (const Histogram *h = sys.core(c).stats().findHistogram(name)) {
+            first = h;
+            break;
+        }
+    }
+    if (!first)
+        return;
+    Histogram merged(first->lo(), first->hi(),
+                     static_cast<unsigned>(first->buckets().size()));
+    for (CoreId c = 0; c < sys.numCores(); c++) {
+        if (const Histogram *h = sys.core(c).stats().findHistogram(name))
+            merged.merge(*h);
+    }
+    if (merged.summary().count() == 0)
+        return;
+    p50 = merged.percentile(0.50);
+    p90 = merged.percentile(0.90);
+    p99 = merged.percentile(0.99);
+}
+
+} // namespace
 
 CounterBaseline
 snapshotCounters(System &sys)
@@ -111,28 +121,71 @@ snapshotCounters(System &sys)
     return b;
 }
 
-/** Same filename discipline as the warmup-checkpoint path in
- *  experiment.cc: everything deciding the func-warm trajectory is in
- *  the name, the embedded config fingerprint backstops the rest. */
-std::string
-sampleCkptPath(const std::string &workload, const std::string &label,
-               unsigned num_cores, std::uint64_t seed,
-               std::uint64_t quota, unsigned n_ckpts, unsigned k)
+RunResult
+harvestMetrics(System &sys, const CounterBaseline &base, bool capture_stats)
 {
-    const char *dir_env = std::getenv("ROWSIM_CKPT_DIR");
-    const std::string dir = (dir_env && *dir_env) ? dir_env : "rowsim-ckpt";
-    auto sanitize = [](const std::string &in) {
-        std::string out;
-        for (const char ch : in) {
-            out += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
+    const CounterBaseline now = snapshotCounters(sys);
+    RunResult r;
+    r.instructions = now.insts - base.insts;
+    r.atomicsCommitted = now.atomics - base.atomics;
+    r.atomicsPer10k =
+        r.instructions ? 1e4 * static_cast<double>(r.atomicsCommitted) /
+                             static_cast<double>(r.instructions)
+                       : 0.0;
+    r.atomicsUnlocked = now.unlocked - base.unlocked;
+    r.detectedContended = now.detected - base.detected;
+    r.oracleContended = now.oracle - base.oracle;
+    r.contendedPct =
+        r.atomicsUnlocked
+            ? 100.0 * static_cast<double>(r.oracleContended) /
+                  static_cast<double>(r.atomicsUnlocked)
+            : 0.0;
+    r.atomicsForwarded = now.forwarded - base.forwarded;
+    r.atomicsPromoted = now.promoted - base.promoted;
+    r.forcedUnlocks = now.forced - base.forced;
+    r.eagerIssued = now.eager - base.eager;
+    r.lazyIssued = now.lazy - base.lazy;
+
+    // Latency means and percentiles are read whole (see the header).
+    r.missLatency = sys.meanCacheAverage("missLatency");
+    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
+    r.issueToLock = sys.meanAverage("atomicIssueToLock");
+    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
+    mergedPercentiles(sys, "atomicDispatchToIssueHist",
+                      r.dispatchToIssueP50, r.dispatchToIssueP90,
+                      r.dispatchToIssueP99);
+    mergedPercentiles(sys, "atomicIssueToLockHist", r.issueToLockP50,
+                      r.issueToLockP90, r.issueToLockP99);
+    mergedPercentiles(sys, "atomicLockToUnlockHist", r.lockToUnlockP50,
+                      r.lockToUnlockP90, r.lockToUnlockP99);
+    r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
+    r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
+
+    const std::uint64_t updates = now.predUpdates - base.predUpdates;
+    const std::uint64_t correct = now.predCorrect - base.predCorrect;
+    r.predAccuracy = updates ? 100.0 * static_cast<double>(correct) /
+                                   static_cast<double>(updates)
+                             : 0.0;
+
+    if (capture_stats) {
+        // Render the full stats tree into memory while the System is
+        // still alive (sweeps compare these dumps byte-for-byte).
+        char *buf = nullptr;
+        std::size_t len = 0;
+        if (std::FILE *mem = open_memstream(&buf, &len)) {
+            sys.dumpStatsJson(mem);
+            std::fclose(mem);
+            r.statsJson.assign(buf, len);
+            std::free(buf);
+        } else {
+            ROWSIM_WARN("open_memstream failed; statsJson not captured");
         }
-        return out;
-    };
-    return dir + "/" + sanitize(workload) + "-" + sanitize(label) +
-           strprintf("-c%u-s%llu-q%llu-n%u-k%u.fckpt", num_cores,
-                     static_cast<unsigned long long>(seed),
-                     static_cast<unsigned long long>(quota), n_ckpts, k);
+    }
+    return r;
 }
+
+namespace
+{
 
 /** Window reporting label; also the store key's label component, so it
  *  encodes everything of the sampling layout the window depends on. */
@@ -159,116 +212,58 @@ struct MetricDef
     bool extrapolate;
 };
 
+/** The MetricDef of RunResult field @p F; counts round to nearest. */
+template <auto F>
+constexpr MetricDef
+metric(const char *name, bool extrapolate)
+{
+    return {name,
+            [](const RunResult &w) { return static_cast<double>(w.*F); },
+            [](RunResult &r, double v) {
+                using T = std::remove_reference_t<decltype(r.*F)>;
+                if constexpr (std::is_integral_v<T>)
+                    r.*F = static_cast<T>(std::llround(v));
+                else
+                    r.*F = v;
+            },
+            extrapolate};
+}
+
+using RR = RunResult;
 constexpr MetricDef kSampledMetrics[] = {
-    {"cycles", [](const RunResult &w) { return double(w.cycles); },
-     [](RunResult &r, double v) {
-         r.cycles = static_cast<Cycle>(std::llround(v));
-     },
-     true},
-    {"instructions",
-     [](const RunResult &w) { return double(w.instructions); },
-     [](RunResult &r, double v) {
-         r.instructions = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsCommitted",
-     [](const RunResult &w) { return double(w.atomicsCommitted); },
-     [](RunResult &r, double v) {
-         r.atomicsCommitted = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsUnlocked",
-     [](const RunResult &w) { return double(w.atomicsUnlocked); },
-     [](RunResult &r, double v) {
-         r.atomicsUnlocked = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"detectedContended",
-     [](const RunResult &w) { return double(w.detectedContended); },
-     [](RunResult &r, double v) {
-         r.detectedContended = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"oracleContended",
-     [](const RunResult &w) { return double(w.oracleContended); },
-     [](RunResult &r, double v) {
-         r.oracleContended = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsForwarded",
-     [](const RunResult &w) { return double(w.atomicsForwarded); },
-     [](RunResult &r, double v) {
-         r.atomicsForwarded = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsPromoted",
-     [](const RunResult &w) { return double(w.atomicsPromoted); },
-     [](RunResult &r, double v) {
-         r.atomicsPromoted = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"forcedUnlocks",
-     [](const RunResult &w) { return double(w.forcedUnlocks); },
-     [](RunResult &r, double v) {
-         r.forcedUnlocks = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"eagerIssued",
-     [](const RunResult &w) { return double(w.eagerIssued); },
-     [](RunResult &r, double v) {
-         r.eagerIssued = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"lazyIssued", [](const RunResult &w) { return double(w.lazyIssued); },
-     [](RunResult &r, double v) {
-         r.lazyIssued = static_cast<std::uint64_t>(std::llround(v));
-     },
-     true},
-    {"atomicsPer10k",
-     [](const RunResult &w) { return w.atomicsPer10k; },
-     [](RunResult &r, double v) { r.atomicsPer10k = v; }, false},
-    {"contendedPct", [](const RunResult &w) { return w.contendedPct; },
-     [](RunResult &r, double v) { r.contendedPct = v; }, false},
-    {"missLatency", [](const RunResult &w) { return w.missLatency; },
-     [](RunResult &r, double v) { r.missLatency = v; }, false},
-    {"dispatchToIssue",
-     [](const RunResult &w) { return w.dispatchToIssue; },
-     [](RunResult &r, double v) { r.dispatchToIssue = v; }, false},
-    {"issueToLock", [](const RunResult &w) { return w.issueToLock; },
-     [](RunResult &r, double v) { r.issueToLock = v; }, false},
-    {"lockToUnlock", [](const RunResult &w) { return w.lockToUnlock; },
-     [](RunResult &r, double v) { r.lockToUnlock = v; }, false},
-    {"olderUnexecuted",
-     [](const RunResult &w) { return w.olderUnexecuted; },
-     [](RunResult &r, double v) { r.olderUnexecuted = v; }, false},
-    {"youngerStarted",
-     [](const RunResult &w) { return w.youngerStarted; },
-     [](RunResult &r, double v) { r.youngerStarted = v; }, false},
-    {"predAccuracy", [](const RunResult &w) { return w.predAccuracy; },
-     [](RunResult &r, double v) { r.predAccuracy = v; }, false},
+    metric<&RR::cycles>("cycles", true),
+    metric<&RR::instructions>("instructions", true),
+    metric<&RR::atomicsCommitted>("atomicsCommitted", true),
+    metric<&RR::atomicsUnlocked>("atomicsUnlocked", true),
+    metric<&RR::detectedContended>("detectedContended", true),
+    metric<&RR::oracleContended>("oracleContended", true),
+    metric<&RR::atomicsForwarded>("atomicsForwarded", true),
+    metric<&RR::atomicsPromoted>("atomicsPromoted", true),
+    metric<&RR::forcedUnlocks>("forcedUnlocks", true),
+    metric<&RR::eagerIssued>("eagerIssued", true),
+    metric<&RR::lazyIssued>("lazyIssued", true),
+    metric<&RR::atomicsPer10k>("atomicsPer10k", false),
+    metric<&RR::contendedPct>("contendedPct", false),
+    metric<&RR::missLatency>("missLatency", false),
+    metric<&RR::dispatchToIssue>("dispatchToIssue", false),
+    metric<&RR::issueToLock>("issueToLock", false),
+    metric<&RR::lockToUnlock>("lockToUnlock", false),
+    metric<&RR::olderUnexecuted>("olderUnexecuted", false),
+    metric<&RR::youngerStarted>("youngerStarted", false),
+    metric<&RR::predAccuracy>("predAccuracy", false),
 };
 
 /** Refuse observability setups the checkpoint format cannot carry /
- *  the sampling layout would distort. Resolution mirrors
- *  System::setupObservability (params override environment). */
+ *  the sampling layout would distort. */
 void
-checkSamplingCompatible(const SystemParams &params)
+checkSamplingCompatible(const RunSpec &spec)
 {
-    const std::uint32_t profMask =
-        params.profileCategories.empty()
-            ? Profiler::envMask()
-            : parseProfileCategories(params.profileCategories);
-    if (profMask) {
+    if (spec.profileMask) {
         ROWSIM_FATAL("ROWSIM_SAMPLE is incompatible with the attribution "
                      "profiler (checkpoints do not carry its state); "
                      "disable ROWSIM_PROFILE");
     }
-    std::string convSpec = params.converge;
-    if (convSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_CONVERGE"); env && *env)
-            convSpec = env;
-    }
-    if (parseConvergeSpec("ROWSIM_CONVERGE", convSpec).active) {
+    if (spec.converge.active) {
         ROWSIM_FATAL("ROWSIM_SAMPLE is incompatible with "
                      "ROWSIM_CONVERGE (the stop cycle would depend on "
                      "the sampling layout)");
@@ -286,25 +281,16 @@ runDetailWindow(const SweepJob &job)
         job.windowStartIters + job.windowWarmIters + job.windowIters;
 
     // Windows are first-class store citizens: a sampled rerun with the
-    // same layout restores, at most, nothing. Same live-sink bypass
-    // rules as runAndCollect (a cached window emits no telemetry).
-    Trace::initFromEnv();
-    std::unique_ptr<ResultStore> store = ResultStore::fromEnv();
-    const char *statsSink = std::getenv("ROWSIM_STATS_JSON");
-    const bool bypassStore = (statsSink && *statsSink) ||
-                             Trace::anyEnabled() || Heartbeat::enabled();
+    // same layout restores, at most, nothing.
+    const RunSpec spec = resolveRunSpec(sp);
+    std::unique_ptr<ResultStore> store = ResultStore::forRun(spec);
     ResultKey key{};
-    if (store && !bypassStore) {
-        key = ResultStore::keyFor(sp, job.workload, job.cfg.label, stop);
+    if (store) {
+        key = ResultStore::keyFor(spec, sp, job.workload, job.cfg.label,
+                                  stop);
         RunResult cached;
-        if (store->load(key, cached)) {
-            if (!job.captureStatsJson || !cached.statsJson.empty()) {
-                if (!job.captureStatsJson)
-                    cached.statsJson.clear();
-                cached.fromCache = true;
-                return cached;
-            }
-        }
+        if (store->serve(key, job.captureStatsJson, cached))
+            return cached;
     }
 
     const WorkloadProfile profile = profileFor(job.workload);
@@ -316,69 +302,15 @@ runDetailWindow(const SweepJob &job)
     const CounterBaseline base = snapshotCounters(sys);
     const Cycle end = sys.run(stop);
 
-    RunResult r;
+    // The timing stats were empty at the func-written checkpoint, so
+    // whole-read latency means cover exactly this window's detail-warm +
+    // measured segment.
+    RunResult r = harvestMetrics(sys, base, job.captureStatsJson);
     r.workload = job.workload;
     r.config = job.cfg.label;
     r.cycles = end - base.cycle;
-    r.instructions = sys.totalInstructions() - base.insts;
-    r.atomicsCommitted = sys.totalAtomics() - base.atomics;
-    r.atomicsPer10k =
-        r.instructions ? 1e4 * static_cast<double>(r.atomicsCommitted) /
-                             static_cast<double>(r.instructions)
-                       : 0.0;
-    r.atomicsUnlocked = sys.totalCounter("atomicsUnlocked") - base.unlocked;
-    r.detectedContended =
-        sys.totalCounter("atomicsDetectedContended") - base.detected;
-    r.oracleContended =
-        sys.totalCounter("atomicsOracleContended") - base.oracle;
-    r.contendedPct =
-        r.atomicsUnlocked
-            ? 100.0 * static_cast<double>(r.oracleContended) /
-                  static_cast<double>(r.atomicsUnlocked)
-            : 0.0;
-    r.atomicsForwarded =
-        sys.totalCounter("atomicsForwarded") - base.forwarded;
-    r.atomicsPromoted =
-        sys.totalCounter("atomicsPromotedEager") - base.promoted;
-    r.forcedUnlocks = sys.totalCounter("forcedUnlocks") - base.forced;
-    r.eagerIssued = sys.totalCounter("atomicsIssuedEager") - base.eager;
-    r.lazyIssued = sys.totalCounter("atomicsIssuedLazy") - base.lazy;
 
-    // Latency means are read whole: the timing stats were empty at the
-    // func-written checkpoint, so they cover exactly this window's
-    // detail-warm + measured segment (see the header contract).
-    r.missLatency = sys.meanCacheAverage("missLatency");
-    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
-    r.issueToLock = sys.meanAverage("atomicIssueToLock");
-    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
-    r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
-    r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
-
-    std::uint64_t updates = 0, correct = 0;
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        updates += sys.core(c).predictor().stats().counterValue("updates");
-        correct += sys.core(c).predictor().stats().counterValue("correct");
-    }
-    updates -= base.predUpdates;
-    correct -= base.predCorrect;
-    r.predAccuracy = updates ? 100.0 * static_cast<double>(correct) /
-                                   static_cast<double>(updates)
-                             : 0.0;
-
-    if (job.captureStatsJson) {
-        char *buf = nullptr;
-        std::size_t len = 0;
-        if (std::FILE *mem = open_memstream(&buf, &len)) {
-            sys.dumpStatsJson(mem);
-            std::fclose(mem);
-            r.statsJson.assign(buf, len);
-            std::free(buf);
-        } else {
-            ROWSIM_WARN("open_memstream failed; statsJson not captured");
-        }
-    }
-
-    if (store && !bypassStore)
+    if (store)
         store->store(key, r);
     return r;
 }
@@ -386,11 +318,12 @@ runDetailWindow(const SweepJob &job)
 RunResult
 runSampled(const std::string &workload, const SystemParams &params,
            const std::string &label, std::uint64_t quota,
-           const SampleSpec &spec)
+           const RunSpec &run)
 {
+    const SampleSpec &spec = run.sample;
     ROWSIM_ASSERT(spec.active && quota > 0,
                   "runSampled needs an active spec and a resolved quota");
-    checkSamplingCompatible(params);
+    checkSamplingCompatible(run);
 
     const unsigned n = spec.checkpoints;
     const std::vector<std::uint64_t> grid = sampleGrid(quota, n);
@@ -402,8 +335,11 @@ runSampled(const std::string &workload, const SystemParams &params,
     std::vector<std::string> paths(n);
     bool allExist = true;
     for (unsigned k = 0; k < n; k++) {
-        paths[k] = sampleCkptPath(workload, label, params.numCores,
-                                  params.seed, quota, n, k);
+        paths[k] = checkpointFilePath(
+            run.ckptDir, workload, label,
+            strprintf("-c%u-s%llu-q%llu-n%u-k%u.fckpt", params.numCores,
+                      static_cast<unsigned long long>(params.seed),
+                      static_cast<unsigned long long>(quota), n, k));
         std::error_code ec;
         if (!std::filesystem::exists(paths[k], ec))
             allExist = false;

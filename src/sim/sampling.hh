@@ -37,36 +37,49 @@
 #include <string>
 #include <vector>
 
+#include "sim/runspec.hh"
 #include "sim/sweep.hh"
 
 namespace rowsim
 {
-
-/** Parsed ROWSIM_SAMPLE spec: `<n_ckpts>:<warm>:<detail>[:<conf>]`
- *  (iterations per core; confidence defaults to 0.95). */
-struct SampleSpec
-{
-    bool active = false;
-    unsigned checkpoints = 0;
-    std::uint64_t warmIters = 0;
-    std::uint64_t detailIters = 0;
-    double confidence = 0.95;
-};
 
 /** Parse a sampling spec; empty = inactive, anything malformed
  *  (n < 1, detail < 1, confidence outside (0, 1), trailing junk) is a
  *  user error (fatal). @p name is the env var for error messages. */
 SampleSpec parseSampleSpec(const char *name, const std::string &spec);
 
-/** The ROWSIM_SAMPLE environment spec (inactive when unset). */
-SampleSpec sampleSpecFromEnv();
+class System;
+
+/** Additive counters at one point of a run. A measurement window
+ *  snapshots them before its measured segment and reports the deltas
+ *  (the detail warm-up and — for the instruction counters — the
+ *  functional prefix are both excluded). */
+struct CounterBaseline
+{
+    Cycle cycle = 0;
+    std::uint64_t insts = 0, atomics = 0;
+    std::uint64_t unlocked = 0, detected = 0, oracle = 0;
+    std::uint64_t forwarded = 0, promoted = 0, forced = 0;
+    std::uint64_t eager = 0, lazy = 0;
+    std::uint64_t predUpdates = 0, predCorrect = 0;
+};
+
+CounterBaseline snapshotCounters(System &sys);
+
+/** The RunResult metrics of @p sys since @p base (a default baseline:
+ *  the whole run), with the full stats tree when @p capture_stats.
+ *  Latency means and percentiles are read whole; workload, config and
+ *  cycles are left to the caller. */
+RunResult harvestMetrics(System &sys, const CounterBaseline &base,
+                         bool capture_stats);
 
 /** Checkpoint marks m_k = floor(quota * k / n), k = 0..n-1. */
 std::vector<std::uint64_t> sampleGrid(std::uint64_t quota, unsigned n);
 
 /**
- * Run one (workload, params) experiment under sampling. @p quota must
- * already be resolved (non-zero). Returns the aggregated RunResult —
+ * Run one (workload, params) experiment under the sampling layout of
+ * @p spec (resolved from @p params). @p quota must already be resolved
+ * (non-zero). Returns the aggregated RunResult —
  * headline counters are whole-run estimates, latency means are window
  * means, and samplingJson holds the full grid / window / CI summary.
  * A failed window fails the whole sampled run (the sweep layer already
@@ -74,7 +87,7 @@ std::vector<std::uint64_t> sampleGrid(std::uint64_t quota, unsigned n);
  */
 RunResult runSampled(const std::string &workload,
                      const SystemParams &params, const std::string &label,
-                     std::uint64_t quota, const SampleSpec &spec);
+                     std::uint64_t quota, const RunSpec &spec);
 
 /** Execute one measurement window (SweepJob::ckptPath non-empty);
  *  called by the sweep engine's executeJob. */

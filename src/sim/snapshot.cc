@@ -1,5 +1,6 @@
 #include "sim/snapshot.hh"
 
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 
@@ -310,13 +311,6 @@ configFingerprint(const SystemParams &params, std::uint32_t fault_mask,
     return fp;
 }
 
-std::uint64_t
-configFingerprint(const SystemParams &params)
-{
-    const FaultSetup fs = resolveFaultSetup(params);
-    return configFingerprint(params, fs.mask, fs.seed, fs.rate);
-}
-
 void
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &payload,
@@ -399,6 +393,19 @@ readSnapshotFile(const std::string &path, std::uint64_t expect_fingerprint)
     return std::vector<std::uint8_t>(
         raw.begin() + headerBytes,
         raw.begin() + static_cast<std::ptrdiff_t>(headerBytes + payloadLen));
+}
+
+std::string
+checkpointFilePath(const std::string &dir, const std::string &workload,
+                   const std::string &label, const std::string &tail)
+{
+    auto sanitize = [](const std::string &in) {
+        std::string out;
+        for (const char ch : in)
+            out += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
+        return out;
+    };
+    return dir + "/" + sanitize(workload) + "-" + sanitize(label) + tail;
 }
 
 } // namespace rowsim

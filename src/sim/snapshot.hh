@@ -180,16 +180,13 @@ struct SystemParams;
 /**
  * The canonical configuration fingerprint: every numeric architectural
  * parameter of @p params serialized in a fixed little-endian order and
- * hashed. The three-argument overload appends a resolved fault-injection
- * setup (mask/seed/rate) exactly as a live System with that injector
- * would; the one-argument overload resolves the fault setup from
- * @p params and the ROWSIM_FAULTS* environment first — so it matches
- * `System::configFingerprint()` for the System those params construct,
- * without building one. Observability knobs (tracing, profiling,
- * interval stats, checker cadence) are deliberately excluded: they
- * never change simulated behaviour.
+ * hashed, followed by the fault-injection setup (mask/seed/rate) exactly
+ * as a live System with that injector would — so, given a RunSpec's
+ * fault fields, it matches `System::configFingerprint()` for the System
+ * those params construct, without building one. Observability knobs
+ * (tracing, profiling, interval stats, checker cadence) are deliberately
+ * excluded: they never change simulated behaviour.
  */
-std::uint64_t configFingerprint(const SystemParams &params);
 std::uint64_t configFingerprint(const SystemParams &params,
                                 std::uint32_t fault_mask,
                                 std::uint64_t fault_seed,
@@ -215,6 +212,18 @@ void writeSnapshotFile(const std::string &path,
  */
 std::vector<std::uint8_t> readSnapshotFile(const std::string &path,
                                            std::uint64_t expect_fingerprint);
+
+/**
+ * Checkpoint file path `<dir>/<workload>-<label><tail>`, with every
+ * non-alphanumeric character of the workload and label replaced by '_'.
+ * @p tail names the run shape (cores, seed, quota, warmup or grid), so
+ * a stale file is never restored into the wrong run; the embedded
+ * configuration fingerprint backstops the rest.
+ */
+std::string checkpointFilePath(const std::string &dir,
+                               const std::string &workload,
+                               const std::string &label,
+                               const std::string &tail);
 
 } // namespace rowsim
 

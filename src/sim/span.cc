@@ -7,7 +7,6 @@
 #include "sim/span.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/trace.hh"
@@ -31,53 +30,8 @@ spanSegName(SpanSeg s)
     return "?";
 }
 
-bool
-parseSpanSpec(const std::string &spec)
-{
-    if (spec == "0" || spec == "off" || spec == "no" || spec == "false")
-        return false;
-    if (spec == "1" || spec == "on" || spec == "yes" || spec == "true")
-        return true;
-    ROWSIM_FATAL("bad span-tracing spec '%s' (valid: 0, off, no, false, "
-                 "1, on, yes, true)",
-                 spec.c_str());
-}
-
-bool
-SpanTracker::envEnabled()
-{
-    // The environment cannot change mid-process; parse once, share
-    // across worker threads (function-local static is thread-safe).
-    static const bool on = [] {
-        const char *s = std::getenv("ROWSIM_SPANS");
-        if (!s || !*s)
-            return false;
-        return parseSpanSpec(s);
-    }();
-    return on;
-}
-
-std::uint64_t
-SpanTracker::topK()
-{
-    if (topKOverride_)
-        return topKOverride_;
-    static const std::uint64_t k = [] {
-        const char *s = std::getenv("ROWSIM_SPANS_TOPK");
-        if (!s || !*s)
-            return std::uint64_t{64};
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (!end || *end != '\0' || v == 0)
-            ROWSIM_FATAL("ROWSIM_SPANS_TOPK: malformed value '%s' "
-                         "(expected a positive decimal number)", s);
-        return static_cast<std::uint64_t>(v);
-    }();
-    return k;
-}
-
-SpanTracker::SpanTracker(unsigned num_cores)
-    : numCores_(num_cores), active_(enabled_)
+SpanTracker::SpanTracker(unsigned num_cores, std::uint64_t top_k)
+    : numCores_(num_cores), topK_(top_k), active_(enabled_)
 {
 }
 
@@ -334,8 +288,7 @@ SpanTracker::aggregate(const Record &r)
 void
 SpanTracker::retain(const Record &r)
 {
-    const std::uint64_t k = topK();
-    if (retained_.size() < k) {
+    if (retained_.size() < topK_) {
         retained_.push_back(r);
         return;
     }
@@ -449,9 +402,8 @@ SpanTracker::toJson() const
     out += ",\"missLatency\":" + histJson(missHist_);
     out += ",\"lockHeld\":" + histJson(lockHeldHist_);
 
-    const std::uint64_t k = topK();
     out += strprintf(",\"pcsTracked\":%zu,\"pcs\":[", pcs_.size());
-    auto pcs = topAggs(pcs_, k);
+    auto pcs = topAggs(pcs_, topK_);
     for (std::size_t i = 0; i < pcs.size(); i++) {
         out += strprintf("%s{\"pc\":\"%#llx\",", i ? "," : "",
                          static_cast<unsigned long long>(pcs[i].first));
@@ -459,7 +411,7 @@ SpanTracker::toJson() const
         out += "}";
     }
     out += strprintf("],\"linesTracked\":%zu,\"lines\":[", lines_.size());
-    auto lines = topAggs(lines_, k);
+    auto lines = topAggs(lines_, topK_);
     for (std::size_t i = 0; i < lines.size(); i++) {
         out += strprintf("%s{\"line\":\"%#llx\",", i ? "," : "",
                          static_cast<unsigned long long>(lines[i].first));

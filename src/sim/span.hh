@@ -81,10 +81,6 @@ constexpr unsigned numSpanSegs = static_cast<unsigned>(SpanSeg::NumSegs);
 
 const char *spanSegName(SpanSeg s);
 
-/** Parse a span-tracing spec ("on"/"off" and synonyms); fatal on
- *  anything else. */
-bool parseSpanSpec(const std::string &spec);
-
 /**
  * The per-System span tracker. All state lives in the instance; only
  * the enable gate is static and thread-local so the hook sites cost one
@@ -93,20 +89,16 @@ bool parseSpanSpec(const std::string &spec);
 class SpanTracker
 {
   public:
-    explicit SpanTracker(unsigned num_cores);
+    /** @p top_k bounds the retained full records and the per-PC /
+     *  per-line rows of the dump (ROWSIM_SPANS_TOPK). */
+    SpanTracker(unsigned num_cores, std::uint64_t top_k);
 
     /** Fast inline gate for every hook site. */
     static bool enabled() { return enabled_; }
     /** Programmatic gate control (System::setupSpans, tests). */
     static void configure(bool on) { enabled_ = on; }
-    /** ROWSIM_SPANS gate ("" / "0" off, anything else on); parsed once
-     *  per process. */
-    static bool envEnabled();
-
-    /** Retained-record bound: ROWSIM_SPANS_TOPK (default 64). */
-    static std::uint64_t topK();
-    /** Top-K override hook (tests); 0 restores the env/default value. */
-    static void setTopK(std::uint64_t k) { topKOverride_ = k; }
+    /** Retained-record bound. */
+    std::uint64_t topK() const { return topK_; }
 
     /** Gate captured at construction: did this instance collect? */
     bool active() const { return active_; }
@@ -218,6 +210,7 @@ class SpanTracker
     void retain(const Record &r);
 
     unsigned numCores_;
+    std::uint64_t topK_;
     bool active_;
 
     std::uint64_t nextId_ = 1;
@@ -248,7 +241,6 @@ class SpanTracker
     // gates independently; setupSpans resets it per System
     // construction.
     static inline thread_local bool enabled_ = false;
-    static inline std::uint64_t topKOverride_ = 0;
 };
 
 } // namespace rowsim

@@ -21,6 +21,7 @@
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "sim/resultstore.hh"
+#include "sim/runspec.hh"
 #include "sim/sampling.hh"
 
 namespace rowsim
@@ -40,11 +41,8 @@ SweepEngine::SweepEngine(const SweepOptions &opts) : opts_(opts)
 unsigned
 SweepEngine::defaultThreads()
 {
-    if (const char *env = std::getenv("ROWSIM_SWEEP_THREADS");
-        env && *env) {
-        const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        return n ? n : 1;
-    }
+    if (const unsigned n = resolveRunSpec(SystemParams{}).sweepThreads)
+        return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
@@ -52,31 +50,13 @@ SweepEngine::defaultThreads()
 SweepOptions
 SweepOptions::fromEnv()
 {
+    const RunSpec spec = resolveRunSpec(SystemParams{});
     SweepOptions o;
-    if (const char *env = std::getenv("ROWSIM_SWEEP_ISOLATE");
-        env && *env) {
-        if (std::strcmp(env, "process") == 0)
-            o.isolation = SweepIsolation::Process;
-        else if (std::strcmp(env, "thread") == 0)
-            o.isolation = SweepIsolation::Thread;
-        else
-            ROWSIM_FATAL("bad ROWSIM_SWEEP_ISOLATE '%s' (valid: thread, "
-                         "process)",
-                         env);
-    }
-    if (const char *env = std::getenv("ROWSIM_SWEEP_TIMEOUT_MS");
-        env && *env) {
-        o.timeoutMs = parseEnvU64("ROWSIM_SWEEP_TIMEOUT_MS", env);
-    }
-    if (const char *env = std::getenv("ROWSIM_SWEEP_RETRIES");
-        env && *env) {
-        o.retries = static_cast<unsigned>(
-            parseEnvU64("ROWSIM_SWEEP_RETRIES", env));
-    }
-    if (const char *env = std::getenv("ROWSIM_SWEEP_BACKOFF_MS");
-        env && *env) {
-        o.backoffMs = parseEnvU64("ROWSIM_SWEEP_BACKOFF_MS", env);
-    }
+    o.isolation = spec.sweepProcess ? SweepIsolation::Process
+                                    : SweepIsolation::Thread;
+    o.timeoutMs = spec.sweepTimeoutMs;
+    o.retries = spec.sweepRetries;
+    o.backoffMs = spec.sweepBackoffMs;
     return o;
 }
 
@@ -154,7 +134,7 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
                 nextJob.fetch_add(1, std::memory_order_relaxed);
             if (i >= jobs.size())
                 return;
-            Heartbeat::emitJob(i, "started", jobs[i].workload,
+            Heartbeat::emitJob(hb_, i, "started", jobs[i].workload,
                                jobs[i].cfg.label, 1, nullptr);
             try {
                 if (jobs[i].injectCrash)
@@ -171,7 +151,7 @@ SweepEngine::runThreaded(const std::vector<SweepJob> &jobs)
                 results[i] = failedResult(jobs[i], RunStatus::Failed,
                                           "unknown exception", 1);
             }
-            Heartbeat::emitJob(i, "finished", jobs[i].workload,
+            Heartbeat::emitJob(hb_, i, "finished", jobs[i].workload,
                                jobs[i].cfg.label, 1,
                                runStatusName(results[i].status));
         }
@@ -210,11 +190,9 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
     // Handoff directory for worker → parent result files. PID-scoped so
     // concurrent sweeps (tests!) never collide; every path below is
     // written atomically, so a killed worker leaves no partial file.
-    const char *tmproot = std::getenv("TMPDIR");
-    const std::string dir =
-        strprintf("%s/rowsim-sweep.%ld",
-                  (tmproot && *tmproot) ? tmproot : "/tmp",
-                  static_cast<long>(::getpid()));
+    const std::string dir = strprintf("%s/rowsim-sweep.%ld",
+                                      hostTmpDir().c_str(),
+                                      static_cast<long>(::getpid()));
 
     struct Attempt
     {
@@ -249,7 +227,7 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
             const bool retryable = status == RunStatus::Crashed ||
                                    status == RunStatus::TimedOut;
             if (retryable && w.number <= opts_.retries) {
-                Heartbeat::emitJob(w.job, "retrying",
+                Heartbeat::emitJob(hb_, w.job, "retrying",
                                    jobs[w.job].workload,
                                    jobs[w.job].cfg.label, w.number,
                                    runStatusName(status));
@@ -271,7 +249,7 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
             }
             results[w.job] = failedResult(jobs[w.job], status,
                                           std::move(error), w.number);
-            Heartbeat::emitJob(w.job, "finished", jobs[w.job].workload,
+            Heartbeat::emitJob(hb_, w.job, "finished", jobs[w.job].workload,
                                jobs[w.job].cfg.label, w.number,
                                runStatusName(status));
         }
@@ -297,7 +275,7 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
                 if (r.ok()) {
                     results[w.job] = std::move(r);
                     std::remove(w.path.c_str());
-                    Heartbeat::emitJob(w.job, "finished",
+                    Heartbeat::emitJob(hb_, w.job, "finished",
                                        jobs[w.job].workload,
                                        jobs[w.job].cfg.label, w.number,
                                        runStatusName(RunStatus::Ok));
@@ -379,7 +357,7 @@ SweepEngine::runIsolated(const std::vector<SweepJob> &jobs)
             }
             // Parent. Lifecycle events come from the scheduler, never
             // from executeJob — the forked worker would duplicate them.
-            Heartbeat::emitJob(a.job, "started", job.workload,
+            Heartbeat::emitJob(hb_, a.job, "started", job.workload,
                                job.cfg.label, a.number, nullptr);
             Worker w;
             w.job = a.job;
@@ -458,20 +436,21 @@ SweepEngine::run(const std::vector<SweepJob> &jobs)
         return {};
     const bool isolated = opts_.isolation == SweepIsolation::Process;
     const char *iso = isolated ? "process" : "thread";
-    if (Heartbeat::enabled()) {
-        Heartbeat::emitSweep("start", jobs.size(), 0, 0, iso);
+    hb_ = resolveRunSpec(SystemParams{}).heartbeat;
+    if (!hb_.empty()) {
+        Heartbeat::emitSweep(hb_, "start", jobs.size(), 0, 0, iso);
         for (std::size_t i = 0; i < jobs.size(); i++) {
-            Heartbeat::emitJob(i, "queued", jobs[i].workload,
+            Heartbeat::emitJob(hb_, i, "queued", jobs[i].workload,
                                jobs[i].cfg.label, 1, nullptr);
         }
     }
     std::vector<RunResult> results =
         isolated ? runIsolated(jobs) : runThreaded(jobs);
-    if (Heartbeat::enabled()) {
+    if (!hb_.empty()) {
         std::size_t ok = 0;
         for (const RunResult &r : results)
             ok += r.ok() ? 1 : 0;
-        Heartbeat::emitSweep("end", jobs.size(), ok, results.size() - ok,
+        Heartbeat::emitSweep(hb_, "end", jobs.size(), ok, results.size() - ok,
                              iso);
     }
     return results;

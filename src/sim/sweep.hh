@@ -137,7 +137,8 @@ class SweepEngine
     const SweepOptions &options() const { return opts_; }
 
     /** ROWSIM_SWEEP_THREADS when set (0 = serial fallback of 1), else
-     *  std::thread::hardware_concurrency(), else 1. */
+     *  std::thread::hardware_concurrency(), else 1. Malformed values
+     *  ("8x", "four") are fatal. */
     static unsigned defaultThreads();
 
   private:
@@ -145,6 +146,8 @@ class SweepEngine
     std::vector<RunResult> runIsolated(const std::vector<SweepJob> &jobs);
 
     SweepOptions opts_;
+    /** Heartbeat sink of the current run() (ROWSIM_HEARTBEAT). */
+    std::string hb_;
 };
 
 /** Convenience: run @p jobs under the environment policy

@@ -17,7 +17,8 @@ namespace rowsim
 
 System::System(const SystemParams &params,
                std::vector<std::unique_ptr<InstStream>> streams)
-    : params_(params), memsys(params), streams_(std::move(streams))
+    : params_(params), spec_(resolveRunSpec(params)), memsys(params),
+      streams_(std::move(streams))
 {
     ROWSIM_ASSERT(streams_.size() == params.numCores,
                   "need one instruction stream per core (%u vs %zu)",
@@ -49,24 +50,6 @@ System::System(const SystemParams &params,
     setupProfiling();
     setupSpans();
 
-    // Idle fast-forward: params default, ROWSIM_FF env override, and a
-    // hard disable under fault injection (the injector draws from its
-    // RNG every cycle, so eliding ticks would change the fault
-    // schedule).
-    ffMode_ = params_.idleFastForward ? FastForward::On : FastForward::Off;
-    if (const char *env = std::getenv("ROWSIM_FF"); env && *env) {
-        if (std::strcmp(env, "0") == 0)
-            ffMode_ = FastForward::Off;
-        else if (std::strcmp(env, "1") == 0)
-            ffMode_ = FastForward::On;
-        else if (std::strcmp(env, "check") == 0)
-            ffMode_ = FastForward::Check;
-        else
-            ROWSIM_FATAL("bad ROWSIM_FF '%s' (valid: 0, 1, check)", env);
-    }
-    if (faults_)
-        ffMode_ = FastForward::Off;
-
     // Every panic — checker violation, watchdog fire, protocol assert —
     // dumps the diagnostics snapshot before unwinding.
     coreProgress_.assign(params_.numCores, CoreProgress{});
@@ -85,13 +68,11 @@ System::~System()
 void
 System::setupObservability()
 {
-    // Tracing: env vars first (so every bench/example picks them up),
-    // then explicit SystemParams overrides.
-    Trace::initFromEnv();
-    if (!params_.traceCategories.empty()) {
-        Trace::instance().configure(
-            parseTraceCategories(params_.traceCategories));
-    }
+    // Tracing: the environment's request first (so every bench and
+    // example picks it up), then explicit SystemParams overrides.
+    Trace::initOnce(spec_.trace);
+    if (spec_.traceParamsMask)
+        Trace::instance().configure(spec_.traceParamsMask);
     if (Trace::anyEnabled() && !params_.traceJsonPath.empty() &&
         !Trace::instance().jsonOpen()) {
         Trace::instance().openJson(params_.traceJsonPath);
@@ -112,36 +93,11 @@ System::setupObservability()
         t.nameProcess(tracePidNetwork, "network");
     }
 
-    // Interval sampler: params override, then env var.
-    Cycle period = params_.statsInterval;
-    if (period == 0) {
-        if (const char *env = std::getenv("ROWSIM_STATS_INTERVAL");
-            env && *env) {
-            period = parseEnvU64("ROWSIM_STATS_INTERVAL", env);
-        }
-    }
-
-    // Metric time-series engine + convergence monitor. Like the profile
-    // mask, both specs are re-resolved on every System construction
-    // (params override env), so sweep workers never inherit stale
-    // settings. An active convergence spec implies the engine.
-    std::string convSpec = params_.converge;
-    if (convSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_CONVERGE"); env && *env)
-            convSpec = env;
-    }
-    const ConvergeSpec conv = parseConvergeSpec("ROWSIM_CONVERGE",
-                                                convSpec);
-    std::string tsSpec = params_.timeseries;
-    if (tsSpec.empty()) {
-        if (const char *env = std::getenv("ROWSIM_TS"); env && *env)
-            tsSpec = env;
-    }
-    const bool tsOn =
-        conv.active ||
-        (!tsSpec.empty() && parseOnOffSpec("ROWSIM_TS", tsSpec));
-    if (tsOn && period == 0)
-        period = 8192; // default cadence when only the engine asked
+    // Interval sampler and metric time-series engine + convergence
+    // monitor, re-resolved on every System construction so sweep
+    // workers never inherit stale settings. An active convergence spec
+    // implies the engine (and a default period).
+    const Cycle period = spec_.statsInterval;
     intervalStats_.configure(period);
     intervalStats_.addProbe(
         "instructions",
@@ -163,18 +119,10 @@ System::setupObservability()
         },
         true);
 
-    if (tsOn) {
-        unsigned window = TimeSeriesEngine::kDefaultWindow;
-        if (const char *env = std::getenv("ROWSIM_TS_WINDOW");
-            env && *env) {
-            const std::uint64_t w = parseEnvU64("ROWSIM_TS_WINDOW", env);
-            if (w == 0 || w > (1u << 20))
-                ROWSIM_FATAL("bad ROWSIM_TS_WINDOW %llu (valid: 1 .. "
-                             "1048576)",
-                             static_cast<unsigned long long>(w));
-            window = static_cast<unsigned>(w);
-        }
-        ts_ = std::make_unique<TimeSeriesEngine>(period, window, conv);
+    if (spec_.tsOn()) {
+        const ConvergeSpec &conv = spec_.converge;
+        ts_ = std::make_unique<TimeSeriesEngine>(period, spec_.tsWindow,
+                                                 conv);
         for (const auto &p : intervalStats_.probes())
             ts_->addMetric(p.name);
         if (conv.active && !ts_->hasMetric(conv.metric)) {
@@ -191,11 +139,8 @@ System::setupObservability()
             });
     }
 
-    // Heartbeat sink: resolved once (env only — a live telemetry path
-    // is process-wide by nature), then polled from the run loop.
-    hbEnabled_ = Heartbeat::enabled();
-    if (hbEnabled_)
-        hbPeriodMs_ = Heartbeat::periodMs();
+    // Heartbeat sink, polled from the run loop.
+    hbEnabled_ = !spec_.heartbeat.empty();
 
     // Derived whole-system statistics (Formula exercising).
     simStats_.formula("ipc") = [this] {
@@ -223,25 +168,18 @@ System::setupObservability()
 void
 System::setupSelfChecking()
 {
-    // Invariant checker: env vars first, then explicit params override
-    // (same precedence as tracing). The Checker object always exists;
-    // the static mask decides whether tick() ever calls into it.
-    Checker::initFromEnv();
-    if (!params_.checkCategories.empty())
-        Checker::configure(parseCheckCategories(params_.checkCategories));
-    checker_ = std::make_unique<Checker>(
-        this, params_.checkInterval ? params_.checkInterval
-                                    : Checker::envInterval());
+    // Invariant checker: like the profile mask, the check mask is
+    // re-applied on every System construction. The Checker object always
+    // exists; the static mask decides whether tick() ever calls into it.
+    Checker::configure(spec_.checkMask);
+    checker_ = std::make_unique<Checker>(this, spec_.checkInterval);
 
     // Fault injector: only constructed when a category is selected, so
     // the per-tick cost with faults off is one null-pointer test. The
-    // setup resolution is shared with the standalone configFingerprint()
-    // (resolveFaultSetup), keeping store keys and live fingerprints in
-    // lockstep.
-    const FaultSetup fs = resolveFaultSetup(params_);
-    if (fs.mask) {
-        faults_ = std::make_unique<FaultInjector>(this, fs.mask, fs.seed,
-                                                  fs.rate);
+    // store key fingerprints the same spec fields.
+    if (spec_.faultMask) {
+        faults_ = std::make_unique<FaultInjector>(
+            this, spec_.faultMask, spec_.faultSeed, spec_.faultRate);
         memsys.network().setDelayHook(
             [this](const Msg &msg, Cycle now) {
                 return faults_->extraDelay(msg, now);
@@ -260,19 +198,15 @@ System::setupSelfChecking()
 void
 System::setupProfiling()
 {
-    // Unlike the trace/check masks, the profile mask is unconditionally
-    // re-applied on every System construction: params override the env
-    // var, and an empty params spec restores the env value. A profiled
-    // sweep job therefore never leaks its mask into the next job that
-    // lands on the same worker thread.
-    Profiler::configure(
-        params_.profileCategories.empty()
-            ? Profiler::envMask()
-            : parseProfileCategories(params_.profileCategories));
+    // Unlike the trace mask, the profile mask is unconditionally
+    // re-applied on every System construction, so a profiled sweep job
+    // never leaks its mask into the next job that lands on the same
+    // worker thread.
+    Profiler::configure(spec_.profileMask);
     if (!Profiler::anyEnabled())
         return;
-    profiler_ = std::make_unique<Profiler>(params_.numCores,
-                                           params_.core.commitWidth);
+    profiler_ = std::make_unique<Profiler>(
+        params_.numCores, params_.core.commitWidth, spec_.profileTopK);
     for (auto &c : cores)
         c->setProfiler(profiler_.get());
     for (CoreId c = 0; c < params_.numCores; c++)
@@ -285,16 +219,14 @@ void
 System::setupSpans()
 {
     // Same discipline as the profile mask: the gate is unconditionally
-    // re-applied on every System construction (params override the env
-    // var, an empty params spec restores the env value), so a spans-on
-    // sweep job never leaks the gate into the next job that lands on
-    // the same worker thread.
-    SpanTracker::configure(params_.spans.empty()
-                               ? SpanTracker::envEnabled()
-                               : parseSpanSpec(params_.spans));
+    // re-applied on every System construction, so a spans-on sweep job
+    // never leaks the gate into the next job that lands on the same
+    // worker thread.
+    SpanTracker::configure(spec_.spans);
     if (!SpanTracker::enabled())
         return;
-    spans_ = std::make_unique<SpanTracker>(params_.numCores);
+    spans_ = std::make_unique<SpanTracker>(params_.numCores,
+                                           spec_.spansTopK);
     for (auto &c : cores)
         c->setSpans(spans_.get());
     for (CoreId c = 0; c < params_.numCores; c++)
@@ -377,7 +309,7 @@ System::maybeFastForward()
         return;
     }
     ffBackoffLen_ = 0;
-    if (ffMode_ == FastForward::Check) {
+    if (spec_.ff == FastForwardMode::Check) {
         auto &self = const_cast<System &>(*this);
         auto dumpAll = [&]() {
             std::string s;
@@ -625,7 +557,7 @@ System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
         // Deadlock detection lives in watchdogScan() (called from
         // tick()): per-core commit progress plus per-structure ages,
         // so a fire names the stuck component.
-        if (ffMode_ != FastForward::Off) {
+        if (spec_.ff != FastForwardMode::Off) {
             if (ffBackoff_ == 0)
                 maybeFastForward();
             else
@@ -638,7 +570,7 @@ void
 System::heartbeatProbe(std::uint64_t iter_quota)
 {
     const std::uint64_t now_ms = Heartbeat::wallMs();
-    if (hbLastMs_ != 0 && now_ms - hbLastMs_ < hbPeriodMs_)
+    if (hbLastMs_ != 0 && now_ms - hbLastMs_ < spec_.heartbeatMs)
         return;
     std::uint64_t iters = 0;
     for (const auto &c : cores)
@@ -657,7 +589,8 @@ System::heartbeatProbe(std::uint64_t iter_quota)
                  static_cast<double>(quota_total - iters) /
                  static_cast<double>(iters);
     }
-    Heartbeat::emitRun(currentCycle, iters, quota_total, kcps, eta_ms);
+    Heartbeat::emitRun(spec_.heartbeat, currentCycle, iters, quota_total,
+                       kcps, eta_ms);
     hbLastMs_ = now_ms;
     hbLastCycle_ = currentCycle;
 }
@@ -978,9 +911,9 @@ System::dumpCrashDiagnostics(const char *reason)
     // sinks), so concurrently failing jobs — or the same job's retries
     // in different processes — write distinct files instead of
     // clobbering one shared path.
-    if (const char *path = std::getenv("ROWSIM_CRASH_JSON");
-        path && *path) {
-        const std::string dst = suffixJobPath(path, Trace::jobKey());
+    if (!spec_.crashJson.empty()) {
+        const std::string dst =
+            suffixJobPath(spec_.crashJson, Trace::jobKey());
         // Render in memory first: the dump must land atomically (the
         // sweep parent reads it while the dying child is still exiting)
         // and a panic inside a diagnostic printer must not leave a
@@ -1008,9 +941,9 @@ System::dumpCrashDiagnostics(const char *reason)
     // Crash checkpoint (ROWSIM_CRASH_CKPT): reuse the snapshot layer to
     // leave a resumable image behind. Best effort — a panic can fire
     // mid-tick, and a failed save must not mask the original panic.
-    if (const char *ckpt = std::getenv("ROWSIM_CRASH_CKPT");
-        ckpt && *ckpt) {
-        const std::string dst = suffixJobPath(ckpt, Trace::jobKey());
+    if (!spec_.crashCkpt.empty()) {
+        const std::string dst =
+            suffixJobPath(spec_.crashCkpt, Trace::jobKey());
         try {
             saveCheckpoint(dst);
             std::fprintf(stderr,

@@ -24,6 +24,7 @@
 #include "sim/checker.hh"
 #include "sim/faults.hh"
 #include "sim/profile.hh"
+#include "sim/runspec.hh"
 #include "sim/span.hh"
 
 namespace rowsim
@@ -213,16 +214,6 @@ class System
     std::uint64_t totalAtomics() const;
 
   private:
-    /** Fast-forward operating mode (params + ROWSIM_FF env). */
-    enum class FastForward : std::uint8_t
-    {
-        Off,
-        On,
-        /** Equivalence-assert mode: tick through each predicted idle
-         *  window and panic if any instruction would have committed. */
-        Check,
-    };
-
     void tick();
     /** Shared body of run() / runWarmup(): run to @p iter_quota, or —
      *  when @p warm_iters is non-zero — return early (cores unhalted)
@@ -243,18 +234,18 @@ class System
     /** Jump currentCycle to just before the next event when the whole
      *  system is idle (run() only). */
     void maybeFastForward();
-    /** Apply trace/interval-stats configuration (params + env vars). */
+    /** Apply trace / interval-stats / time-series / heartbeat setup. */
     void setupObservability();
     /** Heartbeat run-progress probe, entered from runLoop on a coarse
      *  cycle grid; emits when the wall-clock period elapsed. */
     void heartbeatProbe(std::uint64_t iter_quota);
-    /** Wire the invariant checker and fault injector (params + env). */
+    /** Wire the invariant checker and fault injector. */
     void setupSelfChecking();
-    /** Reset the profile mask (params override env, always re-applied)
-     *  and wire the Profiler into cores / caches / directory banks. */
+    /** Reset the profile mask (re-applied on every construction) and
+     *  wire the Profiler into cores / caches / directory banks. */
     void setupProfiling();
-    /** Reset the span gate (params override env, always re-applied) and
-     *  wire the SpanTracker into cores / caches / banks / network. */
+    /** Reset the span gate (re-applied on every construction) and wire
+     *  the SpanTracker into cores / caches / banks / network. */
     void setupSpans();
     /** Per-core / per-structure forward-progress watchdog: panics naming
      *  the stuck component instead of a bare global "deadlock?". */
@@ -263,6 +254,7 @@ class System
     void emitCrashJson(std::FILE *out, const char *reason);
 
     SystemParams params_;
+    RunSpec spec_;
     MemSystem memsys;
     std::vector<std::unique_ptr<InstStream>> streams_;
     std::vector<std::unique_ptr<Core>> cores;
@@ -284,7 +276,6 @@ class System
     /** Next cycle any rare service (interval sample, checker sweep,
      *  watchdog scan) is due; 0 forces a recompute on the first tick. */
     Cycle nextServiceCycle_ = 0;
-    FastForward ffMode_ = FastForward::On;
     Cycle ffSkipped_ = 0;
     /** Ticks to wait before the next skip attempt. A failed attempt
      *  (something is schedulable next tick) costs an O(cores) scan, so
@@ -304,11 +295,10 @@ class System
     StatGroup simStats_{"sim"};
     std::unique_ptr<TimeSeriesEngine> ts_;
 
-    /** Heartbeat sink state (common/heartbeat.hh). The enable flag is
-     *  resolved once per System; the run loop then pays one comparison
-     *  per tick until the next coarse-grid probe. */
+    /** Heartbeat sink state (common/heartbeat.hh; the sink path and
+     *  period come from spec_). The run loop pays one comparison per
+     *  tick until the next coarse-grid probe. */
     bool hbEnabled_ = false;
-    std::uint64_t hbPeriodMs_ = 250;
     std::uint64_t hbStartMs_ = 0;
     std::uint64_t hbLastMs_ = 0;
     Cycle hbLastCycle_ = 0;

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "cpu/microop.hh"
 #include "sim/microbench.hh"
+#include "sim/sweep.hh"
 
 using namespace rowsim;
 
@@ -60,6 +63,16 @@ TEST(Logging, ParseEnvU64AcceptsOnlyFullDecimalStrings)
     EXPECT_THROW(parseEnvU64("X", "-1"), std::runtime_error);
     EXPECT_THROW(parseEnvU64("X", "99999999999999999999999"),
                  std::runtime_error);
+    // ROWSIM_SWEEP_THREADS used a bare strtoul: "8x" became 8 and
+    // "four" became the serial fallback of 1.
+    for (const char *bad : {"8x", "four"}) {
+        ::setenv("ROWSIM_SWEEP_THREADS", bad, 1);
+        EXPECT_THROW(SweepEngine::defaultThreads(), std::runtime_error)
+            << bad;
+    }
+    ::setenv("ROWSIM_SWEEP_THREADS", "8", 1);
+    EXPECT_EQ(SweepEngine::defaultThreads(), 8u);
+    ::unsetenv("ROWSIM_SWEEP_THREADS");
 }
 
 TEST(MicroOp, ClassificationHelpers)

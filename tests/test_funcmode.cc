@@ -344,8 +344,6 @@ TEST(FuncMode, IncompatibleSetupsAreFatal)
 {
     ScopedEnv sample("ROWSIM_SAMPLE", "2:1:2");
     {
-        // Via the params route — Profiler::envMask() is parsed once per
-        // process, so flipping ROWSIM_PROFILE mid-test cannot stick.
         ExpConfig profiled = eagerConfig();
         profiled.profile = "cpi";
         EXPECT_THROW(runExperiment("counter", profiled, 4, 60),

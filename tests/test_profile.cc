@@ -119,7 +119,9 @@ TEST(ProfileLines, PingPongLineTableHasKnownCounts)
 {
     SystemParams sp = makeParams(eagerConfig(), 2, 1);
     sp.profileCategories = "lines";
+    ::setenv("ROWSIM_PROFILE_TOPK", "1", 1); // see the top-K check below
     System sys(sp, makeStreams(pingPongProfile(), sp.numCores, sp.seed));
+    ::unsetenv("ROWSIM_PROFILE_TOPK");
     runProfiled(sys, 200);
     // run() returns the moment the quota commits; drain the in-flight
     // tail so every acquired lock has released and the books close.
@@ -145,9 +147,7 @@ TEST(ProfileLines, PingPongLineTableHasKnownCounts)
     EXPECT_GT(p.remoteFills, 0u);
 
     // Top-K: with K=1 the dump must name exactly this line.
-    Profiler::setTopK(1);
     const std::string json = sys.profiler()->toJson();
-    Profiler::setTopK(0);
     EXPECT_NE(json.find("\"linesTracked\""), std::string::npos);
     EXPECT_NE(json.find(strprintf("\"line\":\"%#llx\"",
                                   static_cast<unsigned long long>(

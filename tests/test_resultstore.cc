@@ -25,6 +25,7 @@
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/resultstore.hh"
+#include "sim/runspec.hh"
 #include "sim/snapshot.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
@@ -115,11 +116,19 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.converged, b.converged);
 }
 
+/** The store key a run of @p sp would use. */
+ResultKey
+keyOf(const SystemParams &sp, const std::string &workload = "pc",
+      const std::string &label = "eager", std::uint64_t quota = 100)
+{
+    return ResultStore::keyFor(resolveRunSpec(sp), sp, workload, label,
+                               quota);
+}
+
 ResultKey
 sampleKey(std::uint64_t quota = 100)
 {
-    return ResultStore::keyFor(makeParams(eagerConfig(), 8, 1), "pc",
-                               "eager", quota);
+    return keyOf(makeParams(eagerConfig(), 8, 1), "pc", "eager", quota);
 }
 
 } // namespace
@@ -165,52 +174,42 @@ TEST(ResultStoreSuite, StoreLoadHitAndCounters)
 
 TEST(ResultStoreSuite, KeyReactsToEveryInput)
 {
+    // Run identity: workload, label, quota, and every architectural
+    // parameter (through the config fingerprint). Knob sensitivity is
+    // walked from the knob table in test_runspec.cc.
     const SystemParams base = makeParams(eagerConfig(), 8, 1);
-    const ResultKey k = ResultStore::keyFor(base, "pc", "eager", 100);
-    EXPECT_NE(k, ResultStore::keyFor(base, "cq", "eager", 100));
-    EXPECT_NE(k, ResultStore::keyFor(base, "pc", "lazy-label", 100));
-    EXPECT_NE(k, ResultStore::keyFor(base, "pc", "eager", 101));
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(eagerConfig(), 16, 1),
-                                     "pc", "eager", 100));
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(eagerConfig(), 8, 2),
-                                     "pc", "eager", 100));
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(lazyConfig(), 8, 1), "pc",
-                                     "eager", 100));
-    // The profiler mask shapes the RunResult (pcs fills percentile
-    // fields), so it must be part of the key even though it does not
-    // change the simulated trajectory.
-    ExpConfig prof = eagerConfig();
-    prof.profile = "pcs";
-    EXPECT_NE(k, ResultStore::keyFor(makeParams(prof, 8, 1), "pc",
-                                     "eager", 100));
-    // The time-series engine shapes the RunResult (tsJson), and a
-    // convergence spec changes the simulated stop cycle itself — both
-    // must key the store.
-    ExpConfig ts = eagerConfig();
-    ts.timeseries = "on";
-    const ResultKey kTs =
-        ResultStore::keyFor(makeParams(ts, 8, 1), "pc", "eager", 100);
-    EXPECT_NE(k, kTs);
-    ExpConfig conv = eagerConfig();
-    conv.converge = "instructions:0.05";
-    const ResultKey kConv =
-        ResultStore::keyFor(makeParams(conv, 8, 1), "pc", "eager", 100);
-    EXPECT_NE(k, kConv);
-    EXPECT_NE(kTs, kConv);
-    // Every component of the spec is significant: metric, bound,
-    // confidence.
-    conv.converge = "atomics:0.05";
-    EXPECT_NE(kConv, ResultStore::keyFor(makeParams(conv, 8, 1), "pc",
-                                         "eager", 100));
-    conv.converge = "instructions:0.01";
-    EXPECT_NE(kConv, ResultStore::keyFor(makeParams(conv, 8, 1), "pc",
-                                         "eager", 100));
-    conv.converge = "instructions:0.05:0.99";
-    EXPECT_NE(kConv, ResultStore::keyFor(makeParams(conv, 8, 1), "pc",
-                                         "eager", 100));
+    const ResultKey k = keyOf(base);
+    EXPECT_NE(k, keyOf(base, "cq"));
+    EXPECT_NE(k, keyOf(base, "pc", "lazy-label"));
+    EXPECT_NE(k, keyOf(base, "pc", "eager", 101));
+    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 16, 1)));
+    EXPECT_NE(k, keyOf(makeParams(eagerConfig(), 8, 2)));
+    EXPECT_NE(k, keyOf(makeParams(lazyConfig(), 8, 1)));
+
+    // The params route reaches the key like the environment does: the
+    // profiler mask and the time-series engine shape the RunResult, and
+    // a convergence bound changes the simulated stop cycle, with every
+    // component of its spec (metric, bound, confidence) significant.
+    std::vector<ResultKey> keys{k};
+    auto add = [&](void (*edit)(ExpConfig &)) {
+        ExpConfig cfg = eagerConfig();
+        edit(cfg);
+        const ResultKey key = keyOf(makeParams(cfg, 8, 1));
+        for (const ResultKey &other : keys)
+            EXPECT_NE(key, other);
+        keys.push_back(key);
+    };
+    add([](ExpConfig &c) { c.profile = "pcs"; });
+    add([](ExpConfig &c) { c.timeseries = "on"; });
+    add([](ExpConfig &c) { c.converge = "instructions:0.05"; });
+    add([](ExpConfig &c) { c.converge = "atomics:0.05"; });
+    add([](ExpConfig &c) { c.converge = "instructions:0.01"; });
+    add([](ExpConfig &c) { c.converge = "instructions:0.05:0.99"; });
+    add([](ExpConfig &c) { c.spans = "on"; });
+    add([](ExpConfig &c) { c.mode = "func"; });
+
     // Deterministic: same inputs, same key.
-    EXPECT_EQ(k, ResultStore::keyFor(makeParams(eagerConfig(), 8, 1),
-                                     "pc", "eager", 100));
+    EXPECT_EQ(k, keyOf(makeParams(eagerConfig(), 8, 1)));
 }
 
 TEST(ResultStoreSuite, BitFlipIsQuarantinedThenRecomputed)
@@ -364,20 +363,23 @@ TEST(ResultStoreSuite, ConcurrentWritersOnOneKeyStaySafe)
 
 TEST(ResultStoreSuite, FromEnvGating)
 {
+    auto fromEnv = [] {
+        return ResultStore::forRun(resolveRunSpec(SystemParams{}));
+    };
     ::unsetenv("ROWSIM_RESULTS");
-    EXPECT_EQ(ResultStore::fromEnv(), nullptr);
+    EXPECT_EQ(fromEnv(), nullptr);
     ::setenv("ROWSIM_RESULTS", "off", 1);
-    EXPECT_EQ(ResultStore::fromEnv(), nullptr);
+    EXPECT_EQ(fromEnv(), nullptr);
     ::setenv("ROWSIM_RESULTS", "on", 1);
     ::setenv("ROWSIM_RESULTS_DIR", "/tmp/rowsim-res-env", 1);
-    auto store = ResultStore::fromEnv();
+    auto store = fromEnv();
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->dir(), "/tmp/rowsim-res-env");
     ::unsetenv("ROWSIM_RESULTS_DIR");
-    ASSERT_NE(ResultStore::fromEnv(), nullptr);
-    EXPECT_EQ(ResultStore::fromEnv()->dir(), "rowsim-results");
+    ASSERT_NE(fromEnv(), nullptr);
+    EXPECT_EQ(fromEnv()->dir(), "rowsim-results");
     ::setenv("ROWSIM_RESULTS", "sideways", 1);
-    EXPECT_THROW(ResultStore::fromEnv(), std::runtime_error);
+    EXPECT_THROW(fromEnv(), std::runtime_error);
     ::unsetenv("ROWSIM_RESULTS");
 }
 

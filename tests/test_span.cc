@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timeseries.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/snapshot.hh"
@@ -99,16 +100,14 @@ statsJsonOf(System &sys)
 
 TEST(SpanSpec, ParseAndReject)
 {
-    EXPECT_FALSE(parseSpanSpec("0"));
-    EXPECT_FALSE(parseSpanSpec("off"));
-    EXPECT_FALSE(parseSpanSpec("no"));
-    EXPECT_FALSE(parseSpanSpec("false"));
-    EXPECT_TRUE(parseSpanSpec("1"));
-    EXPECT_TRUE(parseSpanSpec("on"));
-    EXPECT_TRUE(parseSpanSpec("yes"));
-    EXPECT_TRUE(parseSpanSpec("true"));
-    EXPECT_THROW(parseSpanSpec("maybe"), std::runtime_error);
-    EXPECT_THROW(parseSpanSpec(""), std::runtime_error);
+    // ROWSIM_SPANS / SystemParams::spans take the shared on/off syntax.
+    for (const char *off : {"0", "off", "no", "false"})
+        EXPECT_FALSE(parseOnOffSpec("ROWSIM_SPANS", off)) << off;
+    for (const char *on : {"1", "on", "yes", "true"})
+        EXPECT_TRUE(parseOnOffSpec("ROWSIM_SPANS", on)) << on;
+    EXPECT_THROW(parseOnOffSpec("ROWSIM_SPANS", "maybe"),
+                 std::runtime_error);
+    EXPECT_THROW(parseOnOffSpec("ROWSIM_SPANS", ""), std::runtime_error);
 }
 
 TEST(SpanConservation, SegmentsTileDispatchToCommitAcrossFFModes)

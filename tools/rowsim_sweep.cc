@@ -271,7 +271,8 @@ main(int argc, char **argv)
     std::vector<RunResult> results(jobs.size());
     std::vector<bool> served(jobs.size(), false);
     std::size_t precached = 0;
-    std::unique_ptr<ResultStore> store = ResultStore::fromEnv();
+    std::unique_ptr<ResultStore> store =
+        ResultStore::forRun(resolveRunSpec(SystemParams{}));
     if (opt.resume && store) {
         for (std::size_t i = 0; i < jobs.size(); i++) {
             const SweepJob &j = jobs[i];
@@ -279,14 +280,10 @@ main(int argc, char **argv)
                 continue; // fault drills must actually run
             const std::uint64_t quota =
                 j.quota ? j.quota : defaultQuota(j.workload);
+            const SystemParams sp = makeParams(j.cfg, j.numCores, j.seed);
             const ResultKey key = ResultStore::keyFor(
-                makeParams(j.cfg, j.numCores, j.seed), j.workload,
-                j.cfg.label, quota);
-            RunResult cached;
-            if (store->load(key, cached) &&
-                (!j.captureStatsJson || !cached.statsJson.empty())) {
-                cached.fromCache = true;
-                results[i] = std::move(cached);
+                resolveRunSpec(sp), sp, j.workload, j.cfg.label, quota);
+            if (store->serve(key, j.captureStatsJson, results[i])) {
                 served[i] = true;
                 precached++;
             }
