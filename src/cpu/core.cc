@@ -163,7 +163,7 @@ Core::accessDone(const MemResult &r)
         s.written = true;
         s.writeInFlight = false;
         stats_.counter("storeWrites")++;
-        storeWritten(s.seq, s.addr, r.doneCycle);
+        storeWritten(s.seq, r.doneCycle);
         return;
     }
 
@@ -317,23 +317,13 @@ Core::atomicLineReady(std::uint64_t tok, Addr line, FillSource source,
 bool
 Core::tryForceUnlock(Addr line, Cycle now)
 {
-    (void)now;
-    int idx = -1;
-    aq.forEachMatching(line, [&idx](AqEntry &a) {
-        if (a.locked)
-            idx = 1; // found; resolved below via scan
-    });
-    if (idx < 0)
-        return false;
-
-    // Locate the locked entry precisely.
-    SeqNum seq = 0;
+    SeqNum seq = 0; // the locked entry; sequence numbers start at 1
     aq.forEachMatching(line, [&seq](AqEntry &a) {
         if (a.locked)
             seq = a.seq;
     });
     if (seq <= commitSeq)
-        return false; // committed: the unlock is imminent, keep waiting
+        return false; // none, or committed: the unlock is imminent
 
     RobEntry &e = rob(seq);
     AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
@@ -355,7 +345,8 @@ Core::tryForceUnlock(Addr line, Cycle now)
     LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
     l.issued = false;
     l.completed = false;
-    waiting.push_back(seq);
+    park(e, WakeList::Retry);
+    parkTail_.push_back(seq);
     stats_.counter("forcedUnlocks")++;
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u forcedUnlock seq=%llu line=%#llx (replaying lazy)",
@@ -390,7 +381,7 @@ Core::completeOp(SeqNum seq, Cycle now)
     if (e.astate == AState::Locked)
         e.astate = AState::Done;
     if (e.op.cls == OpClass::Fence)
-        memBarriers.erase(seq);
+        retireBarrier(seq);
 
     if (!e.wokeDependents) {
         e.wokeDependents = true;
@@ -555,11 +546,11 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
     if (params.atomicPolicy == AtomicPolicy::RoW)
         rowPredictor.update(a.pc, contended, now);
     if (params.atomicPolicy == AtomicPolicy::Fenced)
-        memBarriers.erase(seq);
+        retireBarrier(seq);
 
     a.locked = false;
     aq.freeHead(seq);
-    storeWritten(seq, s.addr, now);
+    storeWritten(seq, now);
     cache->unlockNotify(line, now);
 }
 
@@ -583,8 +574,10 @@ Core::commitStage(Cycle now)
             committedAtomicCount++;
         }
 
-        if (e.lqIdx >= 0)
+        if (e.lqIdx >= 0) {
             lq.freeHead(seq);
+            wakeLazyHead();
+        }
         if (e.op.cls == OpClass::Store) {
             SqEntry &s = sq.entry(static_cast<unsigned>(e.sqIdx));
             ROWSIM_ASSERT(s.addressReady, "committing unresolved store");
@@ -669,9 +662,14 @@ Core::profileCommitSlots(unsigned retired)
 // ---------------------------------------------------------------------
 
 void
-Core::storeWritten(SeqNum store_seq, Addr addr, Cycle now)
+Core::storeWritten(SeqNum store_seq, Cycle now)
 {
-    (void)addr;
+    // Same-word WaitStore atomics re-try once their store has written.
+    auto waiters = storeWaiters_.equal_range(store_seq);
+    for (auto it = waiters.first; it != waiters.second; ++it)
+        park(rob(it->second), WakeList::Retry);
+    storeWaiters_.erase(waiters.first, waiters.second);
+
     // Forwarded atomics lock the line the instant their forwarding store
     // writes (§IV-E / Free Atomics forwarding guarantee).
     auto range = fwdLockWaiters.equal_range(store_seq);
@@ -708,10 +706,10 @@ Core::drainStores(Cycle now)
 {
     // Retire written heads.
     while (SqEntry *h = sq.headEntry()) {
-        if (h->written)
-            sq.freeHead(h->seq);
-        else
+        if (!h->written)
             break;
+        sq.freeHead(h->seq);
+        wakeLazyHead();
     }
     SqEntry *h = sq.headEntry();
     if (h && h->committed && !h->written && !h->writeInFlight &&
@@ -743,37 +741,9 @@ Core::blockedByBarrier(SeqNum seq) const
 }
 
 bool
-Core::olderLoadsComplete(SeqNum seq) const
-{
-    bool ok = true;
-    const_cast<LoadQueue &>(lq).forEach([&](LqEntry &l) {
-        if (l.seq < seq && !l.completed)
-            ok = false;
-    });
-    return ok;
-}
-
-bool
-Core::olderStoresWritten(SeqNum seq) const
-{
-    bool ok = true;
-    const_cast<StoreQueue &>(sq).forEach([&](SqEntry &s) {
-        if (s.seq < seq && !s.written)
-            ok = false;
-    });
-    return ok;
-}
-
-bool
 Core::lazyConditionMet(const RobEntry &e) const
 {
     return lq.isOldest(e.seq) && sq.noneOlderThan(e.seq);
-}
-
-bool
-Core::fenceConditionMet(const RobEntry &e) const
-{
-    return olderLoadsComplete(e.seq) && olderStoresWritten(e.seq);
 }
 
 bool
@@ -825,69 +795,63 @@ Core::atomicExecute(RobEntry &e, Cycle now)
     stu.addressReady = true;
     stu.addr = a.addr;
 
-    // Atomics never speculate past unresolved older stores: wait for all
-    // older store addresses (cheap in practice; store addresses resolve
-    // at issue).
+    // Atomics never speculate on memory dependences: a store between
+    // the youngest match and the atomic that is still unresolved could
+    // target our word, so wait for every older store address (cheap in
+    // practice; store addresses resolve at issue). An unwritten
+    // same-word store forwards its value (§IV-E: only older *regular*
+    // stores; atomic-to-atomic chains extend lock windows and can
+    // livelock) or is waited for: atomicity needs the post-store value
+    // from the cache.
     bool unknown_older = false;
     SqEntry *src = sq.forwardSource(e.seq, a.addr, unknown_older);
-    if (unknown_older) {
-        // A store between the youngest match and the atomic is still
-        // unresolved: it could target our word. Atomics never speculate
-        // on memory dependences — wait for all older store addresses.
+    if (src && src->written)
+        src = nullptr;
+    if (unknown_older ||
+        (src && (!params.forwardToAtomics || src->isAtomic))) {
         e.astate = AState::WaitStore;
-        e.waitStoreSeq = 0;
+        e.waitStoreSeq = unknown_older ? 0 : src->seq;
         e.reissueReadyAt = invalidCycle;
         if (SpanTracker::enabled() && spans_ && a.spanId)
             spans_->transition(a.spanId, SpanSeg::SbDrain, now);
         return false;
     }
-    if (src && !src->written) {
-        // §IV-E: atomics may only be forwarded from older *regular*
-        // stores; chains of atomic-to-atomic forwarding are disallowed
-        // (they extend lock windows and can livelock).
-        if (params.forwardToAtomics && !src->isAtomic) {
-            // Forwarded execution (§IV-E): consume the store's value now;
-            // the lock engages when the store writes.
-            if (a.issueCycle == invalidCycle) {
-                a.issueCycle = now;
-                sampleIndependentInsts(e);
-            }
-            e.forwardedAtomic = true;
-            e.waitStoreSeq = src->seq;
-            e.result = src->value;
-            e.atomicNewValue = atomicModify(e.op, e.result);
-            stu.value = e.atomicNewValue;
-            stu.valueReady = true;
-            e.astate = AState::ExecDoneFwd;
-            e.issued = true;
-            if (SpanTracker::enabled() && spans_ && a.spanId) {
-                // Value consumed now; the remaining wait until the
-                // forwarding store writes is an SB-drain dependency.
-                spans_->setLine(a.spanId, a.line());
-                spans_->transition(a.spanId, SpanSeg::SbDrain, now);
-            }
-            fwdLockWaiters.emplace(src->seq, e.seq);
-            LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
-            l.issued = true;
-            l.addr = a.addr;
-            l.fwdFrom = src->seq;
-            scheduleCompletion(e.seq, now + 2);
-            stats_.counter("atomicsForwarded")++;
-            ROWSIM_TRACE(TraceCategory::Atomic, now,
-                         "core%u forwarded seq=%llu line=%#llx from "
-                         "store seq=%llu",
-                         coreId, static_cast<unsigned long long>(e.seq),
-                         static_cast<unsigned long long>(a.line()),
-                         static_cast<unsigned long long>(src->seq));
-            return true;
+    if (src) {
+        // Forwarded execution (§IV-E): consume the store's value now;
+        // the lock engages when the store writes.
+        if (a.issueCycle == invalidCycle) {
+            a.issueCycle = now;
+            sampleIndependentInsts(e);
         }
-        // Atomicity: must read the post-store value from the cache.
-        e.astate = AState::WaitStore;
+        e.forwardedAtomic = true;
         e.waitStoreSeq = src->seq;
-        e.reissueReadyAt = invalidCycle;
-        if (SpanTracker::enabled() && spans_ && a.spanId)
+        e.result = src->value;
+        e.atomicNewValue = atomicModify(e.op, e.result);
+        stu.value = e.atomicNewValue;
+        stu.valueReady = true;
+        e.astate = AState::ExecDoneFwd;
+        e.issued = true;
+        if (SpanTracker::enabled() && spans_ && a.spanId) {
+            // Value consumed now; the remaining wait until the
+            // forwarding store writes is an SB-drain dependency.
+            spans_->setLine(a.spanId, a.line());
             spans_->transition(a.spanId, SpanSeg::SbDrain, now);
-        return false;
+        }
+        fwdLockWaiters.emplace(src->seq, e.seq);
+        LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
+        l.issued = true;
+        l.addr = a.addr;
+        l.fwdFrom = src->seq;
+        scheduleCompletion(e.seq, now + 2);
+        iqOccupancy--;
+        stats_.counter("atomicsForwarded")++;
+        ROWSIM_TRACE(TraceCategory::Atomic, now,
+                     "core%u forwarded seq=%llu line=%#llx from "
+                     "store seq=%llu",
+                     coreId, static_cast<unsigned long long>(e.seq),
+                     static_cast<unsigned long long>(a.line()),
+                     static_cast<unsigned long long>(src->seq));
+        return true;
     }
     if (a.issueCycle == invalidCycle) {
         a.issueCycle = now;
@@ -922,6 +886,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
     m.isAtomic = true;
     m.spanId = a.spanId;
     cache->access(m, now);
+    iqOccupancy--;
     return true;
 }
 
@@ -936,10 +901,7 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
     if (e.astate == AState::WaitOperands) {
         if (!e.lazySelected) {
             e.astate = AState::WaitLazy; // transient; atomicExecute decides
-            bool done = atomicExecute(e, now);
-            if (done)
-                iqOccupancy--;
-            return done;
+            return atomicExecute(e, now);
         }
         // Predicted/forced lazy. Under RoW with RW/RW+Dir detection the
         // atomic issues once now to compute its address (§IV-B),
@@ -961,10 +923,7 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
                 a.onlyCalcAddr = false;
                 e.lazySelected = false;
                 stats_.counter("atomicsPromotedEager")++;
-                bool done = atomicExecute(e, now);
-                if (done)
-                    iqOccupancy--;
-                return done;
+                return atomicExecute(e, now);
             }
         }
         e.astate = AState::WaitLazy;
@@ -973,55 +932,38 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
         return false;
     }
 
+    // WaitLazy / WaitStore: once the wait condition holds, pay the
+    // wakeup/select/issue pipeline delay before the memory request goes
+    // out.
+    bool met = true;
     if (e.astate == AState::WaitLazy) {
-        if (!lazyConditionMet(e)) {
-            // Refine the wait: once the atomic is the oldest memory op,
-            // the remaining wait is purely the SB drain.
-            if (SpanTracker::enabled() && spans_ && a.spanId &&
-                lq.isOldest(e.seq)) {
-                spans_->transition(a.spanId, SpanSeg::SbDrain, now);
-            }
-            e.reissueReadyAt = invalidCycle;
-            return false;
-        }
-        // Condition newly met: pay the wakeup/select/issue pipeline
-        // delay before the memory request goes out.
-        if (e.reissueReadyAt == invalidCycle)
-            e.reissueReadyAt = now + params.atomicReissueDelay;
-        if (now < e.reissueReadyAt)
-            return false;
-        a.onlyCalcAddr = false;
-        bool done = atomicExecute(e, now);
-        if (done)
-            iqOccupancy--;
-        return done;
+        met = lazyConditionMet(e);
+        // Refine the wait: once the atomic is the oldest memory op, the
+        // remaining wait is purely the SB drain.
+        if (!met && SpanTracker::enabled() && spans_ && a.spanId &&
+            lq.isOldest(e.seq))
+            spans_->transition(a.spanId, SpanSeg::SbDrain, now);
+    } else {
+        ROWSIM_ASSERT(e.astate == AState::WaitStore,
+                      "atomic issue in unexpected state %d",
+                      static_cast<int>(e.astate));
+        // Wait for store waitStoreSeq to write. 0 (an unresolved older
+        // address) matches no entry: that wait re-stamps every re-try.
+        sq.forEach([&](SqEntry &s) {
+            if (s.seq == e.waitStoreSeq && !s.written)
+                met = false;
+        });
     }
-
-    if (e.astate == AState::WaitStore) {
-        if (e.waitStoreSeq != 0) {
-            // Wait for that specific store to write.
-            bool pending = false;
-            sq.forEach([&](SqEntry &s) {
-                if (s.seq == e.waitStoreSeq && !s.written)
-                    pending = true;
-            });
-            if (pending) {
-                e.reissueReadyAt = invalidCycle;
-                return false;
-            }
-        }
-        if (e.reissueReadyAt == invalidCycle)
-            e.reissueReadyAt = now + params.atomicReissueDelay;
-        if (now < e.reissueReadyAt)
-            return false;
-        bool done = atomicExecute(e, now);
-        if (done)
-            iqOccupancy--;
-        return done;
+    if (!met) {
+        e.reissueReadyAt = invalidCycle;
+        return false;
     }
-
-    ROWSIM_PANIC("atomic issue in unexpected state %d",
-                 static_cast<int>(e.astate));
+    if (e.reissueReadyAt == invalidCycle)
+        e.reissueReadyAt = now + params.atomicReissueDelay;
+    if (now < e.reissueReadyAt)
+        return false;
+    a.onlyCalcAddr = false;
+    return atomicExecute(e, now);
 }
 
 bool
@@ -1135,7 +1077,11 @@ Core::tryIssueStore(RobEntry &e, Cycle now)
 bool
 Core::tryIssueFence(RobEntry &e, Cycle now)
 {
-    if (!fenceConditionMet(e))
+    // Every older load has completed and every older store written.
+    bool ready = true;
+    lq.forEach([&](LqEntry &l) { ready &= l.seq >= e.seq || l.completed; });
+    sq.forEach([&](SqEntry &s) { ready &= s.seq >= e.seq || s.written; });
+    if (!ready)
         return false;
     e.issued = true;
     scheduleCompletion(e.seq, now + 1);
@@ -1172,30 +1118,112 @@ Core::tryIssue(SeqNum seq, Cycle now)
 }
 
 void
+Core::park(RobEntry &e, WakeList w)
+{
+    e.wake = w;
+    switch (w) {
+      case WakeList::Retry:
+        retry_.push_back(e.seq);
+        break;
+      case WakeList::Timer:
+        reissueTimers_.emplace(e.reissueReadyAt, e.seq);
+        break;
+      case WakeList::StoreWrite:
+        storeWaiters_.emplace(e.waitStoreSeq, e.seq);
+        break;
+      case WakeList::Barrier:
+        barrierWaiters_.push_back(e.seq);
+        break;
+      default:
+        break; // LqHead / SbDrain: found through the LQ head
+    }
+}
+
+void
+Core::sleep(RobEntry &e)
+{
+    // A failed re-try changes nothing but idempotent state (a cleared
+    // stamp, a repeated span segment), so until one of these events the
+    // op's next re-try would fail the same way. Fences ignore barriers.
+    // An unblocked load counts stats per re-try and a fence's condition
+    // can revert (load replay): those keep re-trying every pass.
+    WakeList w = WakeList::Retry;
+    if (e.op.cls != OpClass::Fence && blockedByBarrier(e.seq))
+        w = WakeList::Barrier;
+    else if (e.op.cls != OpClass::AtomicRMW)
+        w = WakeList::Retry;
+    else if (e.reissueReadyAt != invalidCycle)
+        w = WakeList::Timer;
+    else if (e.astate == AState::WaitLazy && !lazyConditionMet(e))
+        w = lq.isOldest(e.seq) ? WakeList::SbDrain : WakeList::LqHead;
+    else if (e.astate == AState::WaitStore && e.waitStoreSeq != 0)
+        w = WakeList::StoreWrite; // atomicExecute saw it unwritten
+    // else: an unresolved older store address (it resolves during an
+    // issue pass), or a lazy condition met before the first stamp.
+    park(e, w);
+}
+
+void
+Core::wakeLazyHead()
+{
+    const SeqNum head = lq.oldestSeq();
+    if (head == 0)
+        return;
+    RobEntry &e = rob(head);
+    if (e.wake == WakeList::LqHead ||
+        (e.wake == WakeList::SbDrain && sq.noneOlderThan(head)))
+        park(e, WakeList::Retry);
+}
+
+void
+Core::retireBarrier(SeqNum seq)
+{
+    memBarriers.erase(seq);
+    auto keep = barrierWaiters_.begin();
+    for (SeqNum w : barrierWaiters_) {
+        if (blockedByBarrier(w))
+            *keep++ = w;
+        else
+            park(rob(w), WakeList::Retry);
+    }
+    barrierWaiters_.erase(keep, barrierWaiters_.end());
+}
+
+void
 Core::issueStage(Cycle now)
 {
     unsigned slots = params.issueWidth;
     issueTruncated_ = false;
+    parkTail_.clear();
 
-    // Re-attempt ops waiting on conditions (lazy atomics, fences, store
-    // waits, barrier blocks) before the newly-ready ones.
-    if (!waiting.empty()) {
-        std::vector<SeqNum> still;
-        still.reserve(waiting.size());
-        std::sort(waiting.begin(), waiting.end());
-        for (SeqNum seq : waiting) {
+    // Re-try woken and due ops, oldest first, before the newly-ready
+    // ones. Sleepers are skipped: their re-try would fail without
+    // effect, so the slots and stamps of this pass match re-trying every
+    // parked op.
+    while (!reissueTimers_.empty() && reissueTimers_.top().first <= now) {
+        park(rob(reissueTimers_.top().second), WakeList::Retry);
+        reissueTimers_.pop();
+    }
+    if (!retry_.empty()) {
+        issuePass_.swap(retry_);
+        std::sort(issuePass_.begin(), issuePass_.end());
+        for (SeqNum seq : issuePass_) {
+            RobEntry &e = rob(seq);
             if (slots == 0) {
-                issueTruncated_ = true;
-                if (rob(seq).busy && !rob(seq).issued)
-                    still.push_back(seq);
+                retry_.push_back(seq); // stays woken
             } else if (!tryIssue(seq, now)) {
-                if (rob(seq).busy && !rob(seq).issued)
-                    still.push_back(seq);
+                sleep(e);
             } else {
-                slots--;
+                e.wake = WakeList::None;
+                if (--slots == 0) {
+                    // Truncated iff a younger op is parked at all.
+                    for (SeqNum y = seq + 1; y < nextSeq && !issueTruncated_;
+                         y++)
+                        issueTruncated_ = rob(y).wake != WakeList::None;
+                }
             }
         }
-        waiting.swap(still);
+        issuePass_.clear();
     }
 
     while (slots > 0 && !readyQueue.empty()) {
@@ -1203,16 +1231,35 @@ Core::issueStage(Cycle now)
         readyQueue.pop();
         if (!inFlight(seq) || rob(seq).issued || !rob(seq).busy)
             continue;
-        if (tryIssue(seq, now))
+        if (tryIssue(seq, now)) {
             slots--;
-        else
-            waiting.push_back(seq);
+        } else {
+            park(rob(seq), WakeList::Retry); // one re-try next pass
+            parkTail_.push_back(seq);
+        }
     }
 }
 
 // ---------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------
+
+bool
+Core::dispatchRoom(const MicroOp *op) const
+{
+    if (robCount() >= params.robEntries || iqOccupancy >= params.iqEntries)
+        return false;
+    switch (op ? op->cls : OpClass::Nop) {
+      case OpClass::Load:
+        return !lq.full();
+      case OpClass::Store:
+        return !sq.full();
+      case OpClass::AtomicRMW:
+        return !lq.full() && !sq.full() && !aq.full();
+      default:
+        return true;
+    }
+}
 
 void
 Core::dispatchStage(Cycle now)
@@ -1227,26 +1274,8 @@ Core::dispatchStage(Cycle now)
             fetchBuffer.push_back(stream->next());
         }
         const MicroOp &op = fetchBuffer.front();
-
-        if (robCount() >= params.robEntries ||
-            iqOccupancy >= params.iqEntries)
+        if (!dispatchRoom(&op))
             return;
-        switch (op.cls) {
-          case OpClass::Load:
-            if (lq.full())
-                return;
-            break;
-          case OpClass::Store:
-            if (sq.full())
-                return;
-            break;
-          case OpClass::AtomicRMW:
-            if (lq.full() || sq.full() || aq.full())
-                return;
-            break;
-          default:
-            break;
-        }
 
         const SeqNum seq = nextSeq++;
         RobEntry &e = rob(seq);
@@ -1382,10 +1411,10 @@ Core::nextEventCycle(Cycle now) const
 {
     const Cycle next_tick = now + 1;
 
-    // Work that would proceed on the very next tick: ready ops, a
-    // truncated issue pass, a committable ROB head, a drainable or
+    // Work that would proceed on the very next tick: ready ops, parked
+    // ops due for a re-try, a committable ROB head, a drainable or
     // freeable SB head.
-    if (!readyQueue.empty() || issueTruncated_)
+    if (!readyQueue.empty() || !retry_.empty())
         return next_tick;
 
     const SeqNum head_seq = commitSeq + 1;
@@ -1419,111 +1448,17 @@ Core::nextEventCycle(Cycle now) const
         consider(completions.begin()->first);
     if (!pendingUnlocks.empty())
         consider(pendingUnlocks.begin()->first);
-    // Waiting ops whose condition is met wake at their stamped re-issue
-    // cycle; unmet conditions change only via events.
-    for (SeqNum seq : waiting) {
-        if (!inFlight(seq))
-            continue;
-        const RobEntry &e = rob(seq);
-        if (!e.busy || e.issued || e.seq != seq)
-            continue;
-        switch (e.op.cls) {
-          case OpClass::AtomicRMW:
-            // Lazy/store-wait atomics carry an explicit re-issue stamp.
-            if (e.reissueReadyAt != invalidCycle) {
-                consider(e.reissueReadyAt);
-                break;
-            }
-            // Invalid stamp: either the wait condition is unmet (the
-            // clearing event — commit, SB drain, unlock, all before
-            // issue in tick order — re-stamps on the same-tick retry),
-            // or a due retry just ran atomicExecute, failed, and reset
-            // the stamp. In the latter case the condition can already
-            // hold, and the next tick's retry stamps now+delay — so the
-            // stamp value depends on when that tick runs. Evaluate the
-            // condition here: if it holds, the next tick is an event.
-            switch (e.astate) {
-              case AState::WaitLazy:
-                if (lazyConditionMet(e))
-                    consider(next_tick);
-                break;
-              case AState::WaitStore:
-                if (e.waitStoreSeq == 0) {
-                    consider(next_tick);
-                } else {
-                    bool pending = false;
-                    const_cast<StoreQueue &>(sq).forEach([&](SqEntry &s) {
-                        if (s.seq == e.waitStoreSeq && !s.written)
-                            pending = true;
-                    });
-                    if (!pending)
-                        consider(next_tick);
-                }
-                break;
-              default:
-                consider(next_tick);
-                break;
-            }
-            break;
-          case OpClass::Load: {
-            // Mirror tryIssueLoad's wait conditions without its side
-            // effects; a load blocked by none of them issues next tick.
-            if (blockedByBarrier(seq))
-                break; // barrier lifts at a commit (event-bounded)
-            auto &sq_mut = const_cast<StoreQueue &>(sq);
-            bool unknown_older = false;
-            const SqEntry *src =
-                sq_mut.forwardSource(seq, e.op.addr, unknown_older);
-            if (unknown_older && e.waitStoreSeq != 0 &&
-                e.waitStoreSeq < seq && inFlight(e.waitStoreSeq)) {
-                const RobEntry &st = rob(e.waitStoreSeq);
-                if (st.op.cls == OpClass::Store &&
-                    st.seq == e.waitStoreSeq && !st.issued)
-                    break; // wakes when that store issues (bounded)
-            }
-            if (src && !src->written &&
-                !(params.storeToLoadForwarding && src->valueReady))
-                break; // wakes when the store readies/writes (bounded)
-            consider(next_tick);
-            break;
-          }
-          case OpClass::Fence:
-            if (fenceConditionMet(e))
-                consider(next_tick);
-            // else: wakes via an older completion or write (bounded)
-            break;
-          default:
-            // Stores park here only behind a barrier; anything else is
-            // conservatively issuable next tick.
-            if (!blockedByBarrier(seq))
-                consider(next_tick);
-            break;
-        }
-    }
+    // A stamped atomic wakes at its stamp. Sleepers wait for a commit,
+    // SB drain, store write or barrier retire, all bounded by the terms
+    // above or the memory system's.
+    if (!reissueTimers_.empty())
+        consider(reissueTimers_.top().first);
     // Dispatch: when fetch is unblocked and resources are free, the core
     // fetches/dispatches next tick (or when the redirect penalty ends).
     // With resources full, dispatch resumes only after a commit (event).
-    if (fetchBlockedBy == 0 && !(halted && fetchBuffer.empty())) {
-        bool resources = robCount() < params.robEntries &&
-                         iqOccupancy < params.iqEntries;
-        if (resources && !fetchBuffer.empty()) {
-            switch (fetchBuffer.front().cls) {
-              case OpClass::Load:
-                resources = !lq.full();
-                break;
-              case OpClass::Store:
-                resources = !sq.full();
-                break;
-              case OpClass::AtomicRMW:
-                resources = !lq.full() && !sq.full() && !aq.full();
-                break;
-              default:
-                break;
-            }
-        }
-        if (resources)
-            consider(std::max(fetchBlockedUntil, next_tick));
-    }
+    if (fetchBlockedBy == 0 && !(halted && fetchBuffer.empty()) &&
+        dispatchRoom(fetchBuffer.empty() ? nullptr : &fetchBuffer.front()))
+        consider(std::max(fetchBlockedUntil, next_tick));
     return next;
 }
 
@@ -1568,6 +1503,29 @@ Core::dumpDiag(std::FILE *out, Cycle now) const
                              : 0));
         first = false;
     });
+    // Parked ops and the list each sleeps on: a lost wakeup shows up
+    // here as an op stuck on a list whose event already happened.
+    static const char *const astateNames[] = {
+        "None", "WaitOperands", "WaitLazy", "WaitStore", "MemIssued",
+        "WaitLock", "Locked", "ExecDoneFwd", "Done"};
+    static const char *const wakeNames[] = {
+        "none", "retry", "lqHead", "sbDrain", "storeWrite", "barrier",
+        "timer"};
+    std::fprintf(out, "],\"parked\":[");
+    first = true;
+    for (SeqNum seq = commitSeq + 1; seq < nextSeq; seq++) {
+        const RobEntry &e = rob(seq);
+        if (e.wake == WakeList::None)
+            continue;
+        std::fprintf(out,
+                     "%s{\"seq\":%llu,\"op\":\"%s\",\"astate\":\"%s\","
+                     "\"wake\":\"%s\"}",
+                     first ? "" : ",", static_cast<unsigned long long>(seq),
+                     opClassName(e.op.cls),
+                     astateNames[static_cast<int>(e.astate)],
+                     wakeNames[static_cast<int>(e.wake)]);
+        first = false;
+    }
     std::fprintf(out, "]}");
 }
 
@@ -1628,8 +1586,18 @@ Core::save(Ser &s) const
         readyCopy.pop();
     }
 
-    s.u64(waiting.size());
-    for (SeqNum w : waiting)
+    // Parked ops in the order a re-try-everything issue stage kept
+    // them: the last pass's survivors ascending, then later parks.
+    std::vector<SeqNum> parked;
+    for (SeqNum seq = commitSeq + 1; seq < nextSeq; seq++) {
+        if (rob(seq).wake != WakeList::None &&
+            std::find(parkTail_.begin(), parkTail_.end(), seq) ==
+                parkTail_.end())
+            parked.push_back(seq);
+    }
+    parked.insert(parked.end(), parkTail_.begin(), parkTail_.end());
+    s.u64(parked.size());
+    for (SeqNum w : parked)
         s.u64(w);
 
     s.u64(completions.size());
@@ -1714,6 +1682,7 @@ Core::restore(Deser &d)
         e.dependents.resize(d.u64());
         for (SeqNum &dep : e.dependents)
             dep = d.u64();
+        e.wake = WakeList::None;
     }
 
     lq.restore(d);
@@ -1731,9 +1700,17 @@ Core::restore(Deser &d)
     for (std::uint64_t i = 0; i < nReady; i++)
         readyQueue.push(d.u64());
 
-    waiting.resize(d.u64());
-    for (SeqNum &w : waiting)
+    // Every parked op re-tries on the first pass, which puts each back
+    // on its wake list; a sleeper's re-try fails without effect.
+    retry_.clear();
+    reissueTimers_ = {};
+    storeWaiters_.clear();
+    barrierWaiters_.clear();
+    parkTail_.resize(d.u64());
+    for (SeqNum &w : parkTail_) {
         w = d.u64();
+        park(rob(w), WakeList::Retry);
+    }
 
     completions.clear();
     const std::uint64_t nCompl = d.u64();

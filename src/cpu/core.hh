@@ -84,10 +84,12 @@ class Core : public MemClient
      * Earliest future cycle at which this core can make progress with no
      * external event (cache completion, snoop, fill) arriving first:
      * the minimum over scheduled completions/unlocks, atomic re-issue
-     * delays, and next-tick work (ready ops, drainable SB head,
-     * committable ROB head, dispatchable fetch). invalidCycle when the
-     * core is fully quiescent. May be conservative (early), never late —
-     * System::run's idle fast-forward uses it as a skip bound.
+     * timers, and next-tick work (ready ops, ops due for a re-try,
+     * drainable SB head, committable ROB head, dispatchable fetch).
+     * Sleeping parked ops add nothing: their events are bounded by these
+     * terms or the memory system's. invalidCycle when the core is fully
+     * quiescent. May be conservative (early), never late — System::run's
+     * idle fast-forward uses it as a skip bound.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -159,6 +161,20 @@ class Core : public MemClient
         Done,         ///< modify complete (lock held until STU writes)
     };
 
+    /** What a parked op (dispatched, issue attempted, not issued) waits
+     *  for; each parked op sits on exactly one list. Fences, and loads
+     *  not blocked by a barrier, stay on Retry. */
+    enum class WakeList : std::uint8_t
+    {
+        None,       ///< not parked
+        Retry,      ///< re-tried by the next issue pass
+        LqHead,     ///< lazy atomic: wakes when it becomes the LQ head
+        SbDrain,    ///< lazy LQ-head atomic: wakes when older SQ entries free
+        StoreWrite, ///< WaitStore: wakes when store waitStoreSeq writes
+        Barrier,    ///< wakes when the older memory barriers retire
+        Timer,      ///< condition met: wakes at reissueReadyAt
+    };
+
     struct RobEntry
     {
         MicroOp op;
@@ -186,6 +202,8 @@ class Core : public MemClient
         std::uint64_t result = 0;
         std::uint64_t atomicNewValue = 0;
         std::vector<SeqNum> dependents;
+        /** Not serialized: restore re-parks every op on Retry. */
+        WakeList wake = WakeList::None;
     };
 
     // --- pipeline stages ---
@@ -194,6 +212,9 @@ class Core : public MemClient
     void drainStores(Cycle now);
     void issueStage(Cycle now);
     void dispatchStage(Cycle now);
+    /** ROB/IQ room, plus the queue slots @p op needs (nullptr: the next
+     *  op is not fetched yet). */
+    bool dispatchRoom(const MicroOp *op) const;
 
     /** Token bit marking a post-commit store-buffer write; the low bits
      *  then carry the SQ slot index instead of a sequence number. */
@@ -216,21 +237,25 @@ class Core : public MemClient
     bool tryIssueStore(RobEntry &e, Cycle now);
     bool tryIssueFence(RobEntry &e, Cycle now);
     bool tryIssueAtomic(RobEntry &e, Cycle now);
+    /** Put @p e on wake list @p w. */
+    void park(RobEntry &e, WakeList w);
+    /** After a failed re-try: park @p e on the list of the event that
+     *  can next change its issue outcome. */
+    void sleep(RobEntry &e);
+    /** LQ-head advance / SQ-head free: wake the LQ head if it is a lazy
+     *  atomic whose wait just ended. */
+    void wakeLazyHead();
+    /** Barrier @p seq retires: wake the ops no longer blocked. */
+    void retireBarrier(SeqNum seq);
     /** Execute the atomic's memory phase (eager or lazy real issue). */
     bool atomicExecute(RobEntry &e, Cycle now);
     /** Decide eager/lazy for a dispatching atomic (policy + predictor). */
     bool atomicSelectLazy(const MicroOp &op);
     /** Lazy-issue condition: oldest mem instruction + SB drained. */
     bool lazyConditionMet(const RobEntry &e) const;
-    /** Fence-issue condition: older loads done, older stores written. */
-    bool fenceConditionMet(const RobEntry &e) const;
     /** Any active memory barrier older than @p seq (mfence / fenced
      *  atomic) that blocks this op's issue? */
     bool blockedByBarrier(SeqNum seq) const;
-    /** All older loads in the LQ have completed. */
-    bool olderLoadsComplete(SeqNum seq) const;
-    /** All older stores in the SQ have written. */
-    bool olderStoresWritten(SeqNum seq) const;
     /** Compute the atomic's modify result from the loaded value. */
     std::uint64_t atomicModify(const MicroOp &op, std::uint64_t old) const;
     /** Commit one atomic: STU enters the (empty) SB and writes next
@@ -238,8 +263,8 @@ class Core : public MemClient
     void commitAtomic(RobEntry &e, Cycle now);
     /** STU write: functional update, unlock, train, free AQ/SQ. */
     void atomicUnlock(SeqNum seq, Cycle now);
-    /** A store wrote: wake forwarded atomics waiting to lock. */
-    void storeWritten(SeqNum seq, Addr addr, Cycle now);
+    /** A store wrote: wake its WaitStore atomics, lock forwarded ones. */
+    void storeWritten(SeqNum seq, Cycle now);
     /** Engage the lock for an atomic whose line is present in M. */
     void acquireLock(RobEntry &e, FillSource source, Cycle now);
     /** Re-check WaitLock atomics after any lock/unlock event. */
@@ -274,9 +299,24 @@ class Core : public MemClient
     /** Ready-to-issue ops, oldest first. */
     std::priority_queue<SeqNum, std::vector<SeqNum>,
                         std::greater<SeqNum>> readyQueue;
-    /** Ops that attempted issue and must re-try (lazy waits, fence waits,
-     *  same-word store waits, barrier blocks). */
-    std::vector<SeqNum> waiting;
+    /** Parked ops the next issue pass re-tries: fresh parks (one re-try
+     *  each), woken sleepers, ops a truncated pass did not reach, and
+     *  fences and unblocked loads. */
+    std::vector<SeqNum> retry_;
+    /** The issue pass being run (reuses its capacity across ticks). */
+    std::vector<SeqNum> issuePass_;
+    /** Ops parked since the last issue pass, in park order: the tail of
+     *  the serialized parked list. */
+    std::vector<SeqNum> parkTail_;
+    /** Timer list: (reissueReadyAt, seq), earliest first. */
+    std::priority_queue<std::pair<Cycle, SeqNum>,
+                        std::vector<std::pair<Cycle, SeqNum>>,
+                        std::greater<>> reissueTimers_;
+    /** StoreWrite list (store seq -> atomic seq). */
+    std::multimap<SeqNum, SeqNum> storeWaiters_;
+    /** Barrier list. LqHead/SbDrain need none: only the LQ head can
+     *  wake, and wakeLazyHead finds it through the LQ. */
+    std::vector<SeqNum> barrierWaiters_;
     /** Scheduled completion events. */
     std::multimap<Cycle, std::pair<SeqNum, std::uint16_t>> completions;
     /** Pending STU writes (cycle -> atomic seq). */
@@ -292,9 +332,9 @@ class Core : public MemClient
     Cycle fetchBlockedUntil = 0;
     unsigned iqOccupancy = 0;
     bool halted = false;
-    /** issueStage ran out of slots before re-trying every waiting op, so
-     *  a waiting op's condition may be met without its reissueReadyAt
-     *  being stamped yet — nextEventCycle must not skip past next tick. */
+    /** The last issue pass ran out of slots while a younger op was
+     *  parked. Nothing reads it: it keeps the serialized state of the
+     *  per-cycle polling issue stage (unreached ops stay on Retry). */
     bool issueTruncated_ = false;
 
     std::uint64_t committedInsts = 0;

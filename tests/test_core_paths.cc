@@ -3,12 +3,14 @@
  * Targeted tests for the core's less-travelled paths: memory-dependence
  * violations and load replay, in-order lock acquisition (WaitLock) and
  * its refetch, the lock-steal replay of a pre-commit atomic, MSHR
- * backpressure, and the stats dump.
+ * backpressure, the stats dump, and the issue stage's wake sources (the
+ * cycle a parked atomic issues after the event that releases it).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -47,6 +49,79 @@ single(std::vector<MicroOp> body, AtomicPolicy policy = AtomicPolicy::Eager)
     std::vector<std::unique_ptr<InstStream>> streams;
     streams.push_back(std::make_unique<LoopStream>(std::move(body)));
     return std::make_unique<System>(sp, std::move(streams));
+}
+
+/** Emits a fixed program once, then Nops. */
+class ScriptStream : public InstStream
+{
+  public:
+    explicit ScriptStream(std::vector<MicroOp> script)
+        : script_(std::move(script))
+    {
+    }
+
+    MicroOp
+    next() override
+    {
+        return idx_ < script_.size() ? script_[idx_++] : mkop(OpClass::Nop);
+    }
+
+  private:
+    std::vector<MicroOp> script_;
+    std::size_t idx_ = 0;
+};
+
+std::unique_ptr<System>
+scripted(std::vector<MicroOp> script, const CoreParams &core)
+{
+    SystemParams sp;
+    sp.numCores = 1;
+    sp.core = core;
+    std::vector<std::unique_ptr<InstStream>> streams;
+    streams.push_back(std::make_unique<ScriptStream>(std::move(script)));
+    return std::make_unique<System>(sp, std::move(streams));
+}
+
+struct WakeTiming
+{
+    Cycle event = invalidCycle; ///< first cycle @p event held
+    Cycle issue = invalidCycle; ///< the atomic's memory issue cycle
+    Cycle dispatch = invalidCycle;
+};
+
+/** Tick core 0 one cycle at a time until the atomic @p seq issues,
+ *  noting the first cycle (after its dispatch) at which @p event holds
+ *  at the end of the tick. */
+WakeTiming
+runUntilIssued(System &sys, SeqNum seq,
+               const std::function<bool(Core &)> &event)
+{
+    WakeTiming t;
+    while (t.issue == invalidCycle && sys.now() < 20000) {
+        sys.runCycles(1);
+        Core &c = sys.core(0);
+        c.atomicQueue().forEach([&](const AqEntry &a) {
+            if (a.seq == seq) {
+                t.dispatch = a.dispatchCycle;
+                t.issue = a.issueCycle;
+            }
+        });
+        if (t.event == invalidCycle && c.seqInFlight(seq) && event(c))
+            t.event = sys.now();
+    }
+    return t;
+}
+
+/** Store @p seq has written (or already left the store queue). */
+bool
+storeDone(const Core &c, SeqNum seq)
+{
+    bool done = true;
+    c.storeQueue().forEach([&](const SqEntry &s) {
+        if (s.seq == seq && !s.written)
+            done = false;
+    });
+    return done;
 }
 
 } // namespace
@@ -260,4 +335,116 @@ TEST(CorePaths, PrefetcherOffStillCorrect)
     // against the committed count, not the quota.
     EXPECT_EQ(sys.mem().functional().read64(0x2000),
               sys.core(0).committedAtomics());
+}
+
+// ---- wake sources: issue cycle == releasing event's tick + delay ----
+
+TEST(CorePaths, LazyAtomicWakesOnLqHeadAdvance)
+{
+    // A cold load ahead of a lazy atomic: the atomic becomes the oldest
+    // memory op when the load commits (SB already empty).
+    CoreParams core;
+    core.atomicPolicy = AtomicPolicy::Lazy;
+    auto sys = scripted({mkop(OpClass::Load, 0x40000000),   // seq 1
+                         mkop(OpClass::AtomicRMW, 0x1000)}, // seq 2
+                        core);
+    const WakeTiming t = runUntilIssued(*sys, 2, [](Core &c) {
+        return c.loadQueue().isOldest(2);
+    });
+    ASSERT_NE(t.event, invalidCycle);
+    EXPECT_GT(t.event, t.dispatch + 100); // it waited on the miss
+    EXPECT_EQ(t.issue, t.event + core.atomicReissueDelay);
+}
+
+TEST(CorePaths, LazyAtomicWakesOnSbDrain)
+{
+    // No older load, but an older store to a cold line: the atomic is the
+    // LQ head at once and waits for the SB to drain.
+    CoreParams core;
+    core.atomicPolicy = AtomicPolicy::Lazy;
+    auto sys = scripted({mkop(OpClass::Store, 0x50000000, 5),  // seq 1
+                         mkop(OpClass::IntAlu),                // seq 2
+                         mkop(OpClass::AtomicRMW, 0x1000)},    // seq 3
+                        core);
+    const WakeTiming t = runUntilIssued(*sys, 3, [](Core &c) {
+        return c.storeQueue().noneOlderThan(3);
+    });
+    ASSERT_NE(t.event, invalidCycle);
+    EXPECT_GT(t.event, t.dispatch + 100);
+    EXPECT_EQ(t.issue, t.event + core.atomicReissueDelay);
+}
+
+TEST(CorePaths, StoreWaitAtomicWakesOnItsStoreWrite)
+{
+    // Eager, no forwarding to atomics: the atomic must read the value an
+    // older same-word store writes, so it waits for that store's write.
+    CoreParams core;
+    auto sys = scripted({mkop(OpClass::Store, 0x60000000, 5),  // seq 1
+                         mkop(OpClass::AtomicRMW, 0x60000000)}, // seq 2
+                        core);
+    const WakeTiming t = runUntilIssued(
+        *sys, 2, [](Core &c) { return storeDone(c, 1); });
+    ASSERT_NE(t.event, invalidCycle);
+    EXPECT_GT(t.event, t.dispatch + 100);
+    EXPECT_EQ(t.issue, t.event + core.atomicReissueDelay);
+    sys->drain();
+    EXPECT_EQ(sys->mem().functional().read64(0x60000000), 6u);
+}
+
+TEST(CorePaths, StoreWaitOnUnresolvedAddressRestampsEveryRetry)
+{
+    // An older store's address waits on a slow ALU op. Each re-try finds
+    // it unresolved and re-stamps on the next tick, so attempts fall on
+    // t0 + k * (delay + 1); the first one after the store resolves
+    // issues.
+    CoreParams core;
+    MicroOp slow = mkop(OpClass::IntAlu);
+    slow.execLatency = 30;
+    MicroOp st = mkop(OpClass::Store, 0x70000000, 5);
+    st.src0 = 1;
+    auto sys = scripted({slow,                               // seq 1
+                         st,                                 // seq 2
+                         mkop(OpClass::AtomicRMW, 0x2000)},  // seq 3
+                        core);
+    const WakeTiming t = runUntilIssued(*sys, 3, [](Core &c) {
+        bool resolved = false;
+        c.storeQueue().forEach([&](const SqEntry &s) {
+            if (s.seq == 2)
+                resolved = s.addressReady;
+        });
+        return resolved;
+    });
+    ASSERT_NE(t.event, invalidCycle);
+    const Cycle period = core.atomicReissueDelay + 1;
+    const Cycle first_try = t.dispatch + 1;
+    const Cycle k = (t.event - first_try) / period + 1;
+    EXPECT_GT(k, 1u); // it re-stamped at least once
+    EXPECT_EQ(t.issue, first_try + k * period);
+}
+
+TEST(CorePaths, TruncatedPassLeavesWokenAtomicForNextTick)
+{
+    // One issue slot. A load and an atomic both wait on the same older
+    // store (no store-to-load forwarding); its write wakes both, the
+    // older load takes the slot, and the atomic re-tries a tick later.
+    CoreParams core;
+    core.issueWidth = 1;
+    core.storeToLoadForwarding = false;
+    auto sys = scripted({mkop(OpClass::Store, 0x80000000, 5),   // seq 1
+                         mkop(OpClass::Load, 0x80000000),       // seq 2
+                         mkop(OpClass::AtomicRMW, 0x80000000)}, // seq 3
+                        core);
+    bool load_issued_at_event = false;
+    const WakeTiming t = runUntilIssued(*sys, 3, [&](Core &c) {
+        if (!storeDone(c, 1))
+            return false;
+        c.loadQueue().forEach([&](const LqEntry &l) {
+            if (l.seq == 2)
+                load_issued_at_event = l.issued;
+        });
+        return true;
+    });
+    ASSERT_NE(t.event, invalidCycle);
+    EXPECT_TRUE(load_issued_at_event);
+    EXPECT_EQ(t.issue, t.event + 1 + core.atomicReissueDelay);
 }

@@ -57,6 +57,12 @@ TEST(FastForward, OnOffBitIdenticalAcrossPolicySuite)
         {"tpcc", fencedConfig(), 40},
         {"streamcluster", rowConfig(ContentionDetector::RW,
                                     PredictorUpdate::UpDown), 40},
+        // One contended word: parked atomics wait longest here (lazy
+        // waits on the LQ head and SB drain, eager on the store write).
+        {"counter", eagerConfig(), 40},
+        {"counter", lazyConfig(), 40},
+        {"counter", rowConfig(ContentionDetector::RWDir,
+                              PredictorUpdate::SaturateOnContention), 40},
     };
     for (const Case &c : cases) {
         RunResult off = runWithFF("0", c.workload, c.cfg, c.quota);
@@ -72,12 +78,24 @@ TEST(FastForward, CheckModeAuditsCleanAndMatchesOff)
 {
     // check mode ticks through every predicted-idle window and panics
     // on any counter/average drift; its results must equal FF-off.
-    const ExpConfig row = rowConfig(
-        ContentionDetector::RWDir, PredictorUpdate::SaturateOnContention);
-    RunResult off = runWithFF("0", "pc", row, 60);
-    RunResult chk = runWithFF("check", "pc", row, 60);
-    EXPECT_EQ(off.cycles, chk.cycles);
-    EXPECT_EQ(off.statsJson, chk.statsJson);
+    struct Case
+    {
+        const char *workload;
+        ExpConfig cfg;
+    };
+    const Case cases[] = {
+        {"pc", rowConfig(ContentionDetector::RWDir,
+                         PredictorUpdate::SaturateOnContention)},
+        // Mean dispatch-to-issue wait ~14K cycles: the longest sleeps.
+        {"counter", lazyConfig()},
+    };
+    for (const Case &c : cases) {
+        RunResult off = runWithFF("0", c.workload, c.cfg, 60);
+        RunResult chk = runWithFF("check", c.workload, c.cfg, 60);
+        EXPECT_EQ(off.cycles, chk.cycles) << c.workload << "/" << c.cfg.label;
+        EXPECT_EQ(off.statsJson, chk.statsJson)
+            << c.workload << "/" << c.cfg.label;
+    }
 }
 
 TEST(FastForward, ForcedOffUnderFaultInjection)

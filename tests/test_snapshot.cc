@@ -55,6 +55,23 @@ makeSystem(const std::string &workload, const ExpConfig &cfg,
         makeStreams(profileFor(workload), cores, seed));
 }
 
+/** Every core's crash-diagnostics object (parked ops and their wake
+ *  lists included). */
+std::string
+coreDiagOf(System &sys)
+{
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *mem = open_memstream(&buf, &len);
+    EXPECT_NE(mem, nullptr);
+    for (CoreId c = 0; c < sys.numCores(); c++)
+        sys.core(c).dumpDiag(mem, sys.now());
+    std::fclose(mem);
+    std::string out(buf, len);
+    std::free(buf);
+    return out;
+}
+
 /** Run the SnapshotError-throwing @p fn and return its message. */
 template <typename Fn>
 std::string
@@ -97,12 +114,20 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
     {
         const char *workload;
         ExpConfig cfg;
+        /** Save only once some op sleeps on each of these wake lists, so
+         *  restore must rebuild them all. */
+        std::vector<std::string> parkedOn;
     };
     const Case cases[] = {
-        {"cq", eagerConfig()},
-        {"cq", lazyConfig()},
+        {"cq", eagerConfig(), {}},
+        {"cq", lazyConfig(), {}},
         {"sps", rowConfig(ContentionDetector::RWDir,
-                          PredictorUpdate::SaturateOnContention)},
+                          PredictorUpdate::SaturateOnContention), {}},
+        // Mid-wait: every list a lazy counter run uses, then the
+        // same-word store wait (eager) and the barrier list (fenced).
+        {"counter", lazyConfig(), {"retry", "lqHead", "sbDrain", "timer"}},
+        {"counter", eagerConfig(), {"storeWrite", "timer"}},
+        {"pc", fencedConfig(), {"barrier", "lqHead", "sbDrain"}},
     };
     const unsigned cores = 4;
     const std::uint64_t seed = 3, quota = 200, warm = 50;
@@ -122,6 +147,18 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
             // Warm up, serialize, restore into a fresh System, finish.
             auto warm_sys = makeSystem(c.workload, c.cfg, cores, seed);
             warm_sys->runWarmup(quota, warm);
+            auto missingList = [&]() -> std::string {
+                const std::string diag = coreDiagOf(*warm_sys);
+                for (const std::string &w : c.parkedOn) {
+                    if (diag.find("\"wake\":\"" + w + "\"") ==
+                        std::string::npos)
+                        return w;
+                }
+                return "";
+            };
+            for (Cycle i = 0; i < 100000 && !missingList().empty(); i++)
+                warm_sys->runCycles(1);
+            ASSERT_EQ(missingList(), "") << "no op ever parked on it";
             const std::string warm_digest = warm_sys->stateDigest();
             Ser s;
             warm_sys->save(s);

@@ -26,7 +26,8 @@ constexpr Cycle kDeadlock = 3000;
 constexpr Cycle kForever = 10'000'000;
 
 /** Two cores issuing loads that can never complete: every directory
- *  bank is stalled far beyond the deadlock bound. */
+ *  bank is stalled far beyond the deadlock bound. A lazy atomic behind
+ *  each load waits forever to become the oldest memory op. */
 std::unique_ptr<System>
 makeStuckSystem()
 {
@@ -37,14 +38,20 @@ makeStuckSystem()
     // the environment), the leak checker would catch the stuck MSHR
     // first — legitimately, but these tests target the watchdog path.
     sp.checkCategories = "none";
+    sp.core.atomicPolicy = AtomicPolicy::Lazy;
     std::vector<std::unique_ptr<InstStream>> streams;
     for (CoreId c = 0; c < 2; c++) {
         std::vector<MicroOp> body;
         MicroOp ld;
         ld.cls = OpClass::Load;
         ld.addr = addrmap::sharedDataLine(c);
-        ld.endOfIteration = true;
         body.push_back(ld);
+        MicroOp rmw;
+        rmw.cls = OpClass::AtomicRMW;
+        rmw.addr = addrmap::sharedDataLine(c) + 8;
+        rmw.value = 1;
+        rmw.endOfIteration = true;
+        body.push_back(rmw);
         streams.push_back(std::make_unique<LoopStream>(std::move(body)));
     }
     auto sys = std::make_unique<System>(sp, std::move(streams));
@@ -74,6 +81,9 @@ TEST(Watchdog, RunPanicsNamingTheStuckCoreAndDumps)
     EXPECT_NE(err.find("\"cores\":"), std::string::npos);
     EXPECT_NE(err.find("\"caches\":"), std::string::npos);
     EXPECT_NE(err.find("\"network\":"), std::string::npos);
+    // Parked ops name the wake list they sleep on.
+    EXPECT_NE(err.find("\"astate\":\"WaitLazy\",\"wake\":\"lqHead\""),
+              std::string::npos);
 }
 
 TEST(Watchdog, RunCyclesIsCoveredToo)

@@ -18,7 +18,6 @@
  *   rowsim_sweep --store results/ --resume fig09 # recompute only holes
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,7 +47,7 @@ struct CliOptions
     long injectCrash = -1;
     long injectHang = -1;
     std::uint64_t quota = 0;            ///< 0 = per-workload default
-    std::vector<std::string> onlyWorkloads; ///< empty = full matrix
+    std::vector<std::string> workloads; ///< empty = the figure's set
     SweepOptions sweep = SweepOptions::fromEnv();
 };
 
@@ -78,8 +77,9 @@ usage(FILE *out)
         "                       (default: per-workload figure quotas).\n"
         "                       Long quotas are where sampled execution\n"
         "                       (ROWSIM_SAMPLE) beats detail wall clock\n"
-        "  --workload W         restrict the matrix to workload W\n"
-        "                       (repeatable)\n"
+        "  --workload W         run the figure's configurations on\n"
+        "                       workload W instead of its workload set\n"
+        "                       (repeatable; any profile)\n"
         "  --list               print the job matrix and exit\n"
         "  --expect-cached      exit 1 if any job had to be recomputed\n"
         "  --inject-crash IDX   fault drill: job IDX aborts mid-run\n"
@@ -96,15 +96,20 @@ parseNum(const char *flag, const char *value)
     return v;
 }
 
-/** The job matrix behind one figure. */
+/** The job matrix behind one figure, over @p workloads (empty: the
+ *  figure's atomic-intensive set). */
 std::vector<SweepJob>
-jobsFor(const std::string &figure)
+jobsFor(const std::string &figure, std::vector<std::string> workloads)
 {
+    if (workloads.empty())
+        workloads = atomicIntensiveWorkloads();
+    for (const std::string &w : workloads)
+        profileFor(w); // fatal on an unknown name
     std::vector<SweepJob> jobs;
     if (figure == "fig09") {
         // Fig. 9: every policy bar for every atomic-intensive workload,
         // full stats captured so downstream plotting can drill in.
-        for (const std::string &w : atomicIntensiveWorkloads()) {
+        for (const std::string &w : workloads) {
             for (const ExpConfig &cfg : fig9Configs()) {
                 SweepJob j;
                 j.workload = w;
@@ -118,7 +123,7 @@ jobsFor(const std::string &figure)
     } else if (figure == "fig06") {
         // Fig. 6: eager vs lazy atomic-phase latency breakdown; the
         // tail percentiles need the "pcs" profiler category.
-        for (const std::string &w : atomicIntensiveWorkloads()) {
+        for (const std::string &w : workloads) {
             for (ExpConfig cfg : {eagerConfig(), lazyConfig()}) {
                 cfg.profile = "pcs";
                 cfg.label += "+prof";
@@ -182,7 +187,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--quota") {
             o.quota = parseNum("--quota", next("--quota"));
         } else if (arg == "--workload") {
-            o.onlyWorkloads.emplace_back(next("--workload"));
+            o.workloads.emplace_back(next("--workload"));
         } else if (arg == "--list") {
             o.list = true;
         } else if (arg == "--expect-cached") {
@@ -225,17 +230,7 @@ main(int argc, char **argv)
         ::setenv("ROWSIM_RESULTS_DIR", opt.storeDir.c_str(), 1);
     }
 
-    std::vector<SweepJob> jobs = jobsFor(opt.figure);
-    if (!opt.onlyWorkloads.empty()) {
-        std::erase_if(jobs, [&](const SweepJob &j) {
-            return std::find(opt.onlyWorkloads.begin(),
-                             opt.onlyWorkloads.end(),
-                             j.workload) == opt.onlyWorkloads.end();
-        });
-        if (jobs.empty())
-            ROWSIM_FATAL("rowsim_sweep: --workload filter matched no job in %s",
-                  opt.figure.c_str());
-    }
+    std::vector<SweepJob> jobs = jobsFor(opt.figure, opt.workloads);
     if (opt.quota) {
         for (SweepJob &j : jobs)
             j.quota = opt.quota;
