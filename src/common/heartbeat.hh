@@ -22,7 +22,7 @@
  * and ROWSIM_STATS_JSON it bypasses the result store (a cache hit
  * emits no heartbeat), and it never changes simulated behaviour.
  * ROWSIM_HEARTBEAT_MS (default 250) sets the minimum wall-clock gap
- * between run events. tools/rowsim_top tails the stream into a live
+ * between run events. `rowsim_report top` tails the stream into a live
  * per-job table.
  */
 

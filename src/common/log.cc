@@ -104,6 +104,46 @@ parseEnvU64(const char *name, const char *text)
     return static_cast<std::uint64_t>(v);
 }
 
+std::uint32_t
+parseCategoryList(const char *name, const std::string &spec,
+                  const char *(*bit_name)(std::uint32_t), std::uint32_t all)
+{
+    std::uint32_t mask = 0;
+    std::size_t pos = 0;
+    while (pos <= spec.size()) {
+        std::size_t comma = spec.find(',', pos);
+        if (comma == std::string::npos)
+            comma = spec.size();
+        std::string tok = spec.substr(pos, comma - pos);
+        pos = comma + 1;
+        while (!tok.empty() && (tok.front() == ' ' || tok.front() == '\t'))
+            tok.erase(tok.begin());
+        while (!tok.empty() && (tok.back() == ' ' || tok.back() == '\t'))
+            tok.pop_back();
+        for (auto &ch : tok)
+            ch = static_cast<char>(std::tolower(ch));
+        if (tok.empty() || tok == "none" || tok == "off")
+            continue;
+        if (tok == "all") {
+            mask |= all;
+            continue;
+        }
+        std::uint32_t bit = 1;
+        while (bit <= all && tok != bit_name(bit))
+            bit <<= 1;
+        if (bit > all) {
+            std::string valid;
+            for (bit = 1; bit <= all; bit <<= 1)
+                valid += std::string(bit_name(bit)) + ", ";
+            ROWSIM_FATAL("unknown %s category '%s' (valid: %sall, none, "
+                         "off)",
+                         name, tok.c_str(), valid.c_str());
+        }
+        mask |= bit;
+    }
+    return mask;
+}
+
 void
 pushPanicHook(const void *owner,
               std::function<void(const std::string &)> hook)

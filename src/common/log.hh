@@ -29,6 +29,17 @@ std::string strprintf(const char *fmt, ...)
 std::uint64_t parseEnvU64(const char *name, const char *text);
 
 /**
+ * Parse a comma-separated category list for knob @p name ("a,b", "all",
+ * "none", "off") into a bitmask over the single bits of @p all, each
+ * named by @p bit_name. Tokens are trimmed and case-insensitive; an
+ * empty list, "none" and "off" select nothing. An unknown name is a
+ * user error (fatal, listing the valid names).
+ */
+std::uint32_t parseCategoryList(const char *name, const std::string &spec,
+                                const char *(*bit_name)(std::uint32_t),
+                                std::uint32_t all);
+
+/**
  * Diagnostic verbosity. panic/fatal always print; warn() is emitted at
  * Warn and above, inform() at Info and above. All diagnostics go to
  * stderr so stdout stays machine-parseable (JSON reports, bench tables).

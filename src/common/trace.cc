@@ -1,6 +1,5 @@
 #include "common/trace.hh"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
@@ -29,44 +28,12 @@ traceCategoryName(TraceCategory c)
 std::uint32_t
 parseTraceCategories(const std::string &spec)
 {
-    std::uint32_t mask = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string tok = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        // Trim and lowercase.
-        while (!tok.empty() && (tok.front() == ' ' || tok.front() == '\t'))
-            tok.erase(tok.begin());
-        while (!tok.empty() && (tok.back() == ' ' || tok.back() == '\t'))
-            tok.pop_back();
-        for (auto &ch : tok)
-            ch = static_cast<char>(std::tolower(ch));
-        if (tok.empty())
-            continue;
-        if (tok == "all") {
-            mask |= traceCategoryAll;
-            continue;
-        }
-        if (tok == "none")
-            continue;
-        bool known = false;
-        for (std::uint32_t bit = 1; bit <= traceCategoryAll; bit <<= 1) {
-            if (tok == traceCategoryName(static_cast<TraceCategory>(bit))) {
-                mask |= bit;
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            ROWSIM_FATAL("unknown trace category '%s' (valid: pipeline, "
-                         "atomic, coherence, directory, network, "
-                         "predictor, queue, span, all, none)",
-                         tok.c_str());
-    }
-    return mask;
+    return parseCategoryList(
+        "ROWSIM_TRACE", spec,
+        [](std::uint32_t bit) {
+            return traceCategoryName(static_cast<TraceCategory>(bit));
+        },
+        traceCategoryAll);
 }
 
 std::string

@@ -51,9 +51,8 @@ constexpr std::uint32_t traceCategoryAll = (1u << 8) - 1;
 const char *traceCategoryName(TraceCategory c);
 
 /**
- * Parse a comma-separated category list ("atomic,coherence", "all",
- * "none") into a bitmask. Unknown names are a user error (fatal).
- * An empty string yields 0 (tracing off).
+ * Parse a ROWSIM_TRACE category list ("atomic,coherence", "all",
+ * "none", "off") into a bitmask; see parseCategoryList.
  */
 std::uint32_t parseTraceCategories(const std::string &spec);
 

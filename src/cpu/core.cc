@@ -186,7 +186,7 @@ void
 Core::acquireLock(RobEntry &e, FillSource source, Cycle now)
 {
     AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
-    ROWSIM_CHECK_EVENT(CheckCategory::Locks,
+    ROWSIM_CHECK_EVENT(checkMask_, CheckCategory::Locks,
                        cache->lineState(a.line()) == CacheState::Modified,
                        "core%u seq %llu locking line %#llx not held in M",
                        coreId, static_cast<unsigned long long>(e.seq),
@@ -194,9 +194,9 @@ Core::acquireLock(RobEntry &e, FillSource source, Cycle now)
     a.locked = true;
     a.lockCycle = now;
     a.lockSource = source;
-    if (SpanTracker::enabled() && spans_ && a.spanId)
+    if (spans_ && a.spanId)
         spans_->transition(a.spanId, SpanSeg::LockHeld, now);
-    if (Profiler::enabled(ProfCategory::Lines) && prof_)
+    if (prof_ && prof_->on(ProfCategory::Lines))
         prof_->lineAcquire(a.line(), coreId);
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u lock seq=%llu line=%#llx source=%d", coreId,
@@ -266,7 +266,7 @@ Core::pokeWaitingLocks(Cycle now)
         } else {
             // The line was stolen while waiting its turn: refetch.
             e.astate = AState::MemIssued;
-            if (SpanTracker::enabled() && spans_ && a.spanId)
+            if (spans_ && a.spanId)
                 spans_->transition(a.spanId, SpanSeg::Execute, now);
             MemAccess m;
             m.addr = a.addr;
@@ -305,7 +305,7 @@ Core::atomicLineReady(std::uint64_t tok, Addr line, FillSource source,
         // line stays unlocked in M; we lock when our turn comes, or
         // refetch if it gets stolen meanwhile.
         e.astate = AState::WaitLock;
-        if (SpanTracker::enabled() && spans_ && a.spanId)
+        if (spans_ && a.spanId)
             spans_->transition(a.spanId, SpanSeg::UnblockWait, now);
         stats_.counter("lockWaits")++;
         return;
@@ -337,7 +337,7 @@ Core::tryForceUnlock(Addr line, Cycle now)
     e.issued = false;
     e.forwardedAtomic = false;
     e.lazySelected = true; // replay lazily: the line is contended
-    if (SpanTracker::enabled() && spans_ && a.spanId)
+    if (spans_ && a.spanId)
         spans_->replay(a.spanId, now);
     e.astate = AState::WaitOperands;
     e.reissueReadyAt = invalidCycle;
@@ -434,7 +434,7 @@ Core::commitAtomic(RobEntry &e, Cycle now)
     // everything atomicUnlock needs in the AQ entry.
     a.newValue = e.atomicNewValue;
     a.sqIdx = e.sqIdx;
-    if (SpanTracker::enabled() && spans_ && a.spanId) {
+    if (spans_ && a.spanId) {
         spans_->close(a.spanId, now);
         a.spanId = 0; // post-commit unlock traffic is outside the span
     }
@@ -446,7 +446,7 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
 {
     AqEntry &a = aq.head();
     ROWSIM_ASSERT(a.seq == seq, "unlock out of AQ order");
-    ROWSIM_CHECK_EVENT(CheckCategory::Locks,
+    ROWSIM_CHECK_EVENT(checkMask_, CheckCategory::Locks,
                        cache->lineState(a.line()) == CacheState::Modified,
                        "core%u seq %llu unlocking line %#llx no longer in M "
                        "(lock lost while held)",
@@ -505,11 +505,11 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
                  contended ? 1 : 0, a.oracleContended ? 1 : 0);
 
     if (prof_) {
-        if (Profiler::enabled(ProfCategory::Lines) &&
+        if (prof_->on(ProfCategory::Lines) &&
             a.lockCycle != invalidCycle) {
             prof_->lineRelease(line, now - a.lockCycle, contended);
         }
-        if (Profiler::enabled(ProfCategory::Pcs) &&
+        if (prof_->on(ProfCategory::Pcs) &&
             a.issueCycle != invalidCycle &&
             a.lockCycle != invalidCycle) {
             const std::uint64_t d2i = a.issueCycle - a.dispatchCycle;
@@ -523,7 +523,7 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
             stats_.histogram("atomicLockToUnlockHist", 0, 4096, 128)
                 .sample(static_cast<double>(l2u));
         }
-        if (Profiler::enabled(ProfCategory::Row) &&
+        if (prof_->on(ProfCategory::Row) &&
             params.atomicPolicy == AtomicPolicy::RoW) {
             // Mispredict cost: a predicted-lazy atomic that saw no
             // contention wasted its ready->issue wait; a predicted-eager
@@ -690,7 +690,7 @@ Core::storeWritten(SeqNum store_seq, Cycle now)
             acquireLock(e, FillSource::Forwarded, now);
         } else {
             e.astate = AState::WaitLock;
-            if (SpanTracker::enabled() && spans_) {
+            if (spans_) {
                 AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
                 if (a.spanId)
                     spans_->transition(a.spanId, SpanSeg::UnblockWait,
@@ -812,7 +812,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         e.astate = AState::WaitStore;
         e.waitStoreSeq = unknown_older ? 0 : src->seq;
         e.reissueReadyAt = invalidCycle;
-        if (SpanTracker::enabled() && spans_ && a.spanId)
+        if (spans_ && a.spanId)
             spans_->transition(a.spanId, SpanSeg::SbDrain, now);
         return false;
     }
@@ -831,7 +831,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         stu.valueReady = true;
         e.astate = AState::ExecDoneFwd;
         e.issued = true;
-        if (SpanTracker::enabled() && spans_ && a.spanId) {
+        if (spans_ && a.spanId) {
             // Value consumed now; the remaining wait until the
             // forwarding store writes is an SB-drain dependency.
             spans_->setLine(a.spanId, a.line());
@@ -874,7 +874,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
     l.issued = true;
     l.addr = a.addr;
 
-    if (SpanTracker::enabled() && spans_ && a.spanId) {
+    if (spans_ && a.spanId) {
         spans_->setLine(a.spanId, a.line());
         spans_->transition(a.spanId, SpanSeg::Execute, now);
     }
@@ -927,7 +927,7 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
             }
         }
         e.astate = AState::WaitLazy;
-        if (SpanTracker::enabled() && spans_ && a.spanId)
+        if (spans_ && a.spanId)
             spans_->transition(a.spanId, SpanSeg::AqWait, now);
         return false;
     }
@@ -940,7 +940,7 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
         met = lazyConditionMet(e);
         // Refine the wait: once the atomic is the oldest memory op, the
         // remaining wait is purely the SB drain.
-        if (!met && SpanTracker::enabled() && spans_ && a.spanId &&
+        if (!met && spans_ && a.spanId &&
             lq.isOldest(e.seq))
             spans_->transition(a.spanId, SpanSeg::SbDrain, now);
     } else {
@@ -1323,7 +1323,7 @@ Core::dispatchStage(Cycle now)
             e.lazySelected = atomicSelectLazy(e.op);
             aq.entry(static_cast<unsigned>(e.aqIdx)).predictedContended =
                 e.lazySelected;
-            if (SpanTracker::enabled() && spans_) {
+            if (spans_) {
                 aq.entry(static_cast<unsigned>(e.aqIdx)).spanId =
                     spans_->open(coreId, e.op.pc, e.lazySelected, now);
             }
@@ -1386,7 +1386,7 @@ Core::tick(Cycle now)
         atomicUnlock(seq, now);
     }
 
-    if (Profiler::enabled(ProfCategory::Cpi) && prof_) {
+    if (prof_ && prof_->on(ProfCategory::Cpi)) {
         const std::uint64_t before = committedInsts;
         commitStage(now);
         profileCommitSlots(

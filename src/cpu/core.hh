@@ -103,6 +103,8 @@ class Core : public MemClient
     void setProfiler(Profiler *p) { prof_ = p; }
     /** Attach the span tracker (System::setupSpans). */
     void setSpans(SpanTracker *s) { spans_ = s; }
+    /** The owning System's check mask (System::setupSelfChecking). */
+    void setCheckMask(std::uint32_t mask) { checkMask_ = mask; }
     BranchPredictor &branchPredictor() { return branchPred; }
     StoreSet &storeSets() { return storeSet; }
     const AtomicQueue &atomicQueue() const { return aq; }
@@ -343,6 +345,7 @@ class Core : public MemClient
 
     Profiler *prof_ = nullptr;
     SpanTracker *spans_ = nullptr;
+    std::uint32_t checkMask_ = 0;
 
     StatGroup stats_;
 };

@@ -136,7 +136,7 @@ Directory::processRequest(Entry &e, const Msg &msg, Cycle now,
             stats_.counter("fwdGetX")++;
             // Exclusive ownership moving between private caches: the
             // ping-pong transfer the contention profile counts.
-            if (Profiler::enabled(ProfCategory::Lines) && prof_)
+            if (prof_ && prof_->on(ProfCategory::Lines))
                 prof_->lineOwnerSwap(line);
             sendToCore(MsgType::FwdGetX, line, e.owner, req, now, false,
                        false, hint, msg.spanId);
@@ -204,7 +204,7 @@ Directory::finishTxn(Entry &e, Addr line, Cycle now)
     if (e.blockedSince != invalidCycle) {
         // The transaction's own Blocked residency, attributed causally
         // to the requesting atomic's span.
-        if (SpanTracker::enabled() && spans_ && e.txnSpanId)
+        if (spans_ && e.txnSpanId)
             spans_->dirBlockedWindow(e.txnSpanId, e.blockedSince, now);
         // Async span: several lines can be Blocked at one bank at once.
         ROWSIM_TRACE_SPAN(
@@ -232,7 +232,7 @@ Directory::finishTxn(Entry &e, Addr line, Cycle now)
     while (!e.queued.empty() && e.state != DirState::Blocked) {
         Msg next = e.queued.front();
         e.queued.pop_front();
-        if (SpanTracker::enabled() && spans_ && next.spanId)
+        if (spans_ && next.spanId)
             spans_->dirDequeued(next.spanId, now);
         if (next.type == MsgType::PutM) {
             // Crossed eviction: handle with the now-current state.
@@ -272,12 +272,12 @@ Directory::deliver(const Msg &msg, Cycle now)
             if (e.dataPending)
                 e.dataMsg.contentionHint = true;
             e.queued.push_back(msg);
-            if (SpanTracker::enabled() && spans_ && msg.spanId)
+            if (spans_ && msg.spanId)
                 spans_->dirQueued(msg.spanId, now);
             stats_.counter("queuedRequests")++;
             stats_.average("queueDepth").sample(
                 static_cast<double>(e.queued.size()));
-            if (Profiler::enabled(ProfCategory::Lines) && prof_)
+            if (prof_ && prof_->on(ProfCategory::Lines))
                 prof_->lineQueueDepth(msg.line, e.queued.size());
             ROWSIM_TRACE(TraceCategory::Directory, now,
                          "dir%u queue line=%#llx %s from core%u depth=%zu",

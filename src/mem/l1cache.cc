@@ -117,7 +117,7 @@ PrivateCache::access(const MemAccess &a, Cycle now)
     // The atomic's span leaves execute here; whether the request goes
     // out now, coalesces, or waits for a free MSHR, it is in the memory
     // system either way (idempotent on drainPending re-entry).
-    if (SpanTracker::enabled() && spans_ && a.spanId)
+    if (spans_ && a.spanId)
         spans_->transition(a.spanId, SpanSeg::L1Miss, now);
     MshrWaiter w;
     w.token = a.token;
@@ -253,7 +253,7 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
         src = FillSource::Memory;
     // Transfer provenance: a cache-to-cache fill means this line moved
     // between private caches (ping-pong ingredient).
-    if (Profiler::enabled(ProfCategory::Lines) && prof_ &&
+    if (prof_ && prof_->on(ProfCategory::Lines) &&
         msg.fromPrivateCache) {
         prof_->lineRemoteFill(line);
     }
@@ -415,11 +415,11 @@ PrivateCache::unlockNotify(Addr line, Cycle now)
             it = stalledExternals.erase(it);
             stats_.average("lockStallCycles").sample(
                 static_cast<double>(now - m.sent));
-            if (Profiler::enabled(ProfCategory::Lines) && prof_)
+            if (prof_ && prof_->on(ProfCategory::Lines))
                 prof_->lineLockStall(line, now - m.sent);
             // The victim span (the remote requester this Fwd/Inv serves)
             // spent [arrival, now] against our AQ lock.
-            if (SpanTracker::enabled() && spans_ && m.spanId)
+            if (spans_ && m.spanId)
                 spans_->lockStall(m.spanId, arrival, now);
             ROWSIM_TRACE_COMPLETE(
                 TraceCategory::Coherence, static_cast<int>(coreId),
@@ -473,9 +473,9 @@ PrivateCache::tick(Cycle now)
                 const Cycle arrival = it->arrival;
                 it = stalledExternals.erase(it);
                 stats_.counter("lockSteals")++;
-                if (Profiler::enabled(ProfCategory::Lines) && prof_)
+                if (prof_ && prof_->on(ProfCategory::Lines))
                     prof_->lineSteal(m.line);
-                if (SpanTracker::enabled() && spans_ && m.spanId)
+                if (spans_ && m.spanId)
                     spans_->lockStall(m.spanId, arrival, now);
                 ROWSIM_TRACE(TraceCategory::Coherence, now,
                              "l1d%u lock steal line=%#llx after %llu "

@@ -185,7 +185,7 @@ Network::tick(Cycle now)
         stats_.counter("delivered")++;
         const Cycle lat = now >= p.msg.sent ? now - p.msg.sent : 0;
         typeLatencyHist(p.msg.type).sample(static_cast<double>(lat));
-        if (SpanTracker::enabled() && spans_ && p.msg.spanId)
+        if (spans_ && p.msg.spanId)
             spans_->netHop(p.msg.spanId, p.msg.sent, now);
         h->deliver(p.msg, now);
     }

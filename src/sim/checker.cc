@@ -1,6 +1,5 @@
 #include "sim/checker.hh"
 
-#include <cctype>
 #include <unordered_map>
 
 #include "sim/system.hh"
@@ -24,46 +23,16 @@ checkCategoryName(CheckCategory c)
 std::uint32_t
 parseCheckCategories(const std::string &spec)
 {
-    std::uint32_t mask = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string tok = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        while (!tok.empty() && (tok.front() == ' ' || tok.front() == '\t'))
-            tok.erase(tok.begin());
-        while (!tok.empty() && (tok.back() == ' ' || tok.back() == '\t'))
-            tok.pop_back();
-        for (auto &ch : tok)
-            ch = static_cast<char>(std::tolower(ch));
-        if (tok.empty())
-            continue;
-        if (tok == "all") {
-            mask |= checkCategoryAll;
-            continue;
-        }
-        if (tok == "none")
-            continue;
-        bool known = false;
-        for (std::uint32_t bit = 1; bit <= checkCategoryAll; bit <<= 1) {
-            if (tok == checkCategoryName(static_cast<CheckCategory>(bit))) {
-                mask |= bit;
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            ROWSIM_FATAL("unknown check category '%s' (valid: swmr, locks, "
-                         "leaks, messages, occupancy, all, none)",
-                         tok.c_str());
-    }
-    return mask;
+    return parseCategoryList(
+        "ROWSIM_CHECK", spec,
+        [](std::uint32_t bit) {
+            return checkCategoryName(static_cast<CheckCategory>(bit));
+        },
+        checkCategoryAll);
 }
 
-Checker::Checker(System *system, Cycle interval)
-    : sys(system), interval_(interval ? interval : 1)
+Checker::Checker(System *system, Cycle interval, std::uint32_t mask)
+    : sys(system), interval_(interval ? interval : 1), mask_(mask)
 {
 }
 
@@ -72,15 +41,15 @@ Checker::sweep(Cycle now)
 {
     lastSweep_ = now;
     sweeps_++;
-    if (enabled(CheckCategory::Swmr))
+    if (on(CheckCategory::Swmr))
         checkSwmr(now);
-    if (enabled(CheckCategory::Locks))
+    if (on(CheckCategory::Locks))
         checkLocks(now);
-    if (enabled(CheckCategory::Leaks))
+    if (on(CheckCategory::Leaks))
         checkLeaks(now);
-    if (enabled(CheckCategory::Messages))
+    if (on(CheckCategory::Messages))
         checkMessages(now);
-    if (enabled(CheckCategory::Occupancy))
+    if (on(CheckCategory::Occupancy))
         checkOccupancy(now);
 }
 

@@ -2,12 +2,12 @@
  * @file
  * Runtime-gated protocol invariant checker.
  *
- * Modelled on the trace layer (src/common/trace.hh): every check point
- * compiles to a single branch on a static category bitmask, so leaving
- * checking off costs one predictable branch per tick. With categories
- * enabled (ROWSIM_CHECK env var or SystemParams::checkCategories) the
- * checker sweeps the whole system every N cycles and validates the
- * protocol invariants DESIGN.md promises:
+ * Every check point is one branch on the owning System's category
+ * bitmask, so leaving checking off costs one predictable branch per
+ * tick. With categories enabled (ROWSIM_CHECK env var or
+ * SystemParams::checkCategories) the checker sweeps the whole system
+ * every N cycles and validates the protocol invariants DESIGN.md
+ * promises:
  *
  *  - swmr:      at most one Modified copy of any line; the directory's
  *               sharer/owner records agree with actual L1/L2 contents.
@@ -56,33 +56,26 @@ constexpr std::uint32_t checkCategoryAll = (1u << 5) - 1;
 const char *checkCategoryName(CheckCategory c);
 
 /**
- * Parse a comma-separated category list ("swmr,locks", "all", "none")
- * into a bitmask. Unknown names are a user error (fatal). An empty
- * string yields 0 (checking off).
+ * Parse a ROWSIM_CHECK category list ("swmr,locks", "all",
+ * "none", "off") into a bitmask; see parseCategoryList.
  */
 std::uint32_t parseCheckCategories(const std::string &spec);
 
 /**
- * The whole-system checker. One per System; the category mask is static
- * (like the trace mask) so the per-tick and per-event gates are one
- * branch with no instance lookup.
+ * The whole-system checker. One per System, holding that System's
+ * category mask, so two Systems on one thread check independently.
  */
 class Checker
 {
   public:
-    Checker(System *sys, Cycle interval);
+    Checker(System *sys, Cycle interval, std::uint32_t mask);
 
-    /** Fast inline gates. */
-    static bool anyEnabled() { return mask_ != 0; }
-    static bool
-    enabled(CheckCategory c)
+    std::uint32_t mask() const { return mask_; }
+    bool
+    on(CheckCategory c) const
     {
         return (mask_ & static_cast<std::uint32_t>(c)) != 0;
     }
-
-    /** Programmatic mask control (tests, SystemParams). */
-    static void configure(std::uint32_t mask) { mask_ = mask; }
-    static std::uint32_t mask() { return mask_; }
 
     /** Called every tick when any category is enabled; runs a sweep
      *  every `interval` cycles. */
@@ -120,23 +113,20 @@ class Checker
 
     System *sys;
     Cycle interval_;
+    std::uint32_t mask_;
     Cycle lastSweep_ = 0;
     std::uint64_t sweeps_ = 0;
-
-    // Thread-local like the trace mask: each sweep worker carries its
-    // own check mask, so concurrent Systems gate independently.
-    static inline thread_local std::uint32_t mask_ = 0;
 };
 
 /**
- * Event-level check point for protocol components (one branch when the
- * category is off; the condition and message arguments are only
- * evaluated when it is on). Panics — and thus triggers the crash dump —
- * when @p cond is false.
+ * Event-level check point for protocol components, gated on @p mask, the
+ * owning System's check mask (one branch when the category is off; the
+ * condition and message arguments are only evaluated when it is on).
+ * Panics — and thus triggers the crash dump — when @p cond is false.
  */
-#define ROWSIM_CHECK_EVENT(cat, cond, ...)                                 \
+#define ROWSIM_CHECK_EVENT(mask, cat, cond, ...)                           \
     do {                                                                   \
-        if (::rowsim::Checker::enabled(cat) && !(cond)) {                  \
+        if (((mask) & static_cast<std::uint32_t>(cat)) && !(cond)) {      \
             ::rowsim::panicImpl(                                           \
                 __FILE__, __LINE__,                                        \
                 ::rowsim::strprintf("[check:%s] violated: %s — ",          \

@@ -235,10 +235,10 @@ namespace
 {
 
 /** Append one per-run record {"workload","config","cycles",<name>}
- *  to @p sink ("-" = stdout) — the input format of tools/profile_report
- *  and tools/span_report. Inside a sweep worker the path carries the job
- *  key (like the trace sinks), so concurrent jobs never interleave one
- *  file. */
+ *  to @p sink ("-" = stdout) — the input format of `rowsim_report
+ *  profile` and `rowsim_report span`. Inside a sweep worker the path
+ *  carries the job key (like the trace sinks), so concurrent jobs never
+ *  interleave one file. */
 void
 writeRecord(const RunResult &r, const char *name, const std::string &json,
             const std::string &sink)
@@ -389,9 +389,9 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     r.config = label;
     r.cycles = cycles;
 
-    if (const Profiler *prof = sys.profiler(); prof && prof->active())
+    if (const Profiler *prof = sys.profiler())
         r.profileJson = prof->toJson();
-    if (const SpanTracker *sp = sys.spans(); sp && sp->active())
+    if (const SpanTracker *sp = sys.spans())
         r.spanJson = sp->toJson();
     if (const TimeSeriesEngine *ts = sys.timeseries()) {
         r.tsJson = ts->toJson();

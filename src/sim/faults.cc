@@ -1,6 +1,5 @@
 #include "sim/faults.hh"
 
-#include <cctype>
 #include <vector>
 
 #include "common/config.hh"
@@ -27,42 +26,12 @@ faultCategoryName(FaultCategory c)
 std::uint32_t
 parseFaultCategories(const std::string &spec)
 {
-    std::uint32_t mask = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string tok = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        while (!tok.empty() && (tok.front() == ' ' || tok.front() == '\t'))
-            tok.erase(tok.begin());
-        while (!tok.empty() && (tok.back() == ' ' || tok.back() == '\t'))
-            tok.pop_back();
-        for (auto &ch : tok)
-            ch = static_cast<char>(std::tolower(ch));
-        if (tok.empty())
-            continue;
-        if (tok == "all") {
-            mask |= faultCategoryAll;
-            continue;
-        }
-        if (tok == "none")
-            continue;
-        bool known = false;
-        for (std::uint32_t bit = 1; bit <= faultCategoryAll; bit <<= 1) {
-            if (tok == faultCategoryName(static_cast<FaultCategory>(bit))) {
-                mask |= bit;
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            ROWSIM_FATAL("unknown fault category '%s' (valid: netdelay, "
-                         "dirstall, evict, unblockdelay, all, none)",
-                         tok.c_str());
-    }
-    return mask;
+    return parseCategoryList(
+        "ROWSIM_FAULTS", spec,
+        [](std::uint32_t bit) {
+            return faultCategoryName(static_cast<FaultCategory>(bit));
+        },
+        faultCategoryAll);
 }
 
 FaultInjector::FaultInjector(System *system, std::uint32_t mask,

@@ -46,8 +46,8 @@ constexpr std::uint32_t faultCategoryAll = (1u << 4) - 1;
 const char *faultCategoryName(FaultCategory c);
 
 /**
- * Parse a comma-separated category list ("netdelay,evict", "all",
- * "none") into a bitmask. Unknown names are a user error (fatal).
+ * Parse a ROWSIM_FAULTS category list ("netdelay,evict", "all",
+ * "none", "off") into a bitmask; see parseCategoryList.
  */
 std::uint32_t parseFaultCategories(const std::string &spec);
 

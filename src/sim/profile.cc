@@ -45,45 +45,22 @@ cpiBucketName(CpiBucket b)
 std::uint32_t
 parseProfileCategories(const std::string &spec)
 {
-    std::uint32_t mask = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string tok = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (tok.empty())
-            continue;
-        if (tok == "all") {
-            mask |= profCategoryAll;
-        } else if (tok == "none") {
-            // explicit off; keeps "none" scripts readable
-        } else if (tok == "cpi") {
-            mask |= static_cast<std::uint32_t>(ProfCategory::Cpi);
-        } else if (tok == "lines") {
-            mask |= static_cast<std::uint32_t>(ProfCategory::Lines);
-        } else if (tok == "row") {
-            mask |= static_cast<std::uint32_t>(ProfCategory::Row);
-        } else if (tok == "pcs") {
-            mask |= static_cast<std::uint32_t>(ProfCategory::Pcs);
-        } else if (tok == "check") {
-            // conservation check needs the cpi slots it checks
-            mask |= static_cast<std::uint32_t>(ProfCategory::Check) |
-                    static_cast<std::uint32_t>(ProfCategory::Cpi);
-        } else {
-            ROWSIM_FATAL("unknown profile category '%s' (valid: cpi, "
-                         "lines, row, pcs, check, all, none)",
-                         tok.c_str());
-        }
-    }
+    std::uint32_t mask = parseCategoryList(
+        "ROWSIM_PROFILE", spec,
+        [](std::uint32_t bit) {
+            return profCategoryName(static_cast<ProfCategory>(bit));
+        },
+        profCategoryAll);
+    // The conservation check needs the cpi slots it checks.
+    if (mask & static_cast<std::uint32_t>(ProfCategory::Check))
+        mask |= static_cast<std::uint32_t>(ProfCategory::Cpi);
     return mask;
 }
 
-Profiler::Profiler(unsigned num_cores, unsigned commit_width,
-                   std::uint64_t top_k)
-    : numCores_(num_cores), commitWidth_(commit_width),
-      activeMask_(mask_), topK_(top_k), cpi_(num_cores)
+Profiler::Profiler(std::uint32_t mask, unsigned num_cores,
+                   unsigned commit_width, std::uint64_t top_k)
+    : numCores_(num_cores), commitWidth_(commit_width), mask_(mask),
+      topK_(top_k), cpi_(num_cores)
 {
     for (auto &stack : cpi_)
         stack.fill(0);
@@ -148,7 +125,7 @@ Profiler::toJson() const
     out += strprintf("\"commitWidth\":%u,\"categories\":\"", commitWidth_);
     bool firstCat = true;
     for (std::uint32_t bit = 1; bit < (1u << 5); bit <<= 1) {
-        if (activeMask_ & bit) {
+        if (mask_ & bit) {
             if (!firstCat)
                 out += ",";
             out += profCategoryName(static_cast<ProfCategory>(bit));
@@ -157,7 +134,7 @@ Profiler::toJson() const
     }
     out += "\"";
 
-    if (activeMask_ & static_cast<std::uint32_t>(ProfCategory::Cpi)) {
+    if (on(ProfCategory::Cpi)) {
         out += ",\"cpi\":[";
         for (unsigned c = 0; c < numCores_; ++c) {
             out += strprintf("%s{\"core\":%u", c ? "," : "", c);
@@ -171,7 +148,7 @@ Profiler::toJson() const
         out += "]";
     }
 
-    if (activeMask_ & static_cast<std::uint32_t>(ProfCategory::Lines)) {
+    if (on(ProfCategory::Lines)) {
         std::vector<std::pair<Addr, const LineProf *>> sorted;
         sorted.reserve(lines_.size());
         for (const auto &kv : lines_)
@@ -211,7 +188,7 @@ Profiler::toJson() const
         out += "]";
     }
 
-    if (activeMask_ & static_cast<std::uint32_t>(ProfCategory::Row)) {
+    if (on(ProfCategory::Row)) {
         std::vector<std::pair<Addr, const RowProf *>> sorted;
         sorted.reserve(rowAudit_.size());
         for (const auto &kv : rowAudit_)
@@ -263,7 +240,7 @@ Profiler::toJson() const
                   : 0.0);
     }
 
-    if (activeMask_ & static_cast<std::uint32_t>(ProfCategory::Pcs)) {
+    if (on(ProfCategory::Pcs)) {
         std::vector<std::pair<Addr, const PcProf *>> sorted;
         sorted.reserve(pcs_.size());
         for (const auto &kv : pcs_)

@@ -2,12 +2,11 @@
  * @file
  * Runtime-gated attribution profiler.
  *
- * Modelled on the trace (src/common/trace.hh) and checker
- * (src/sim/checker.hh) layers: every profile point compiles to a single
- * branch on a static, thread-local category bitmask, so leaving
- * profiling off costs one predictable branch per hook. With categories
- * enabled (ROWSIM_PROFILE env var or SystemParams::profileCategories)
- * the profiler aggregates — without storing per-event logs — the three
+ * Every profile point is gated on the owning System's Profiler, which
+ * exists only when some category is on, so leaving profiling off costs
+ * one null-pointer test per hook. With categories enabled
+ * (ROWSIM_PROFILE env var or SystemParams::profileCategories) the
+ * profiler aggregates — without storing per-event logs — the three
  * attributions the paper's evidence rests on:
  *
  *  - cpi:   per-core CPI stacks. Every commit slot of every cycle is
@@ -30,11 +29,9 @@
  *           every core's CPI stack must sum to cycles × commitWidth;
  *           a mismatch panics naming the core (ROWSIM_FF=check style).
  *
- * State is per-System (one Profiler instance), so profiled jobs compose
- * with the parallel sweep engine; only the category mask is static and
- * thread-local, and System::setupProfiling() unconditionally resets it
- * per construction, so a profiled job never leaks its mask into the
- * next job on the same worker thread.
+ * State and category mask are per-System (one Profiler instance), so
+ * profiled jobs compose with the parallel sweep engine and two Systems
+ * on one thread never see each other's gate.
  */
 
 #ifndef ROWSIM_SIM_PROFILE_HH
@@ -67,9 +64,9 @@ constexpr std::uint32_t profCategoryAll = (1u << 5) - 1;
 const char *profCategoryName(ProfCategory c);
 
 /**
- * Parse a comma-separated category list ("cpi,lines", "all", "none")
- * into a bitmask. Unknown names are a user error (fatal). An empty
- * string yields 0 (profiling off).
+ * Parse a ROWSIM_PROFILE category list ("cpi,lines", "all",
+ * "none", "off") into a bitmask; see parseCategoryList. "check"
+ * implies "cpi".
  */
 std::uint32_t parseProfileCategories(const std::string &spec);
 
@@ -96,33 +93,22 @@ constexpr unsigned numCpiBuckets =
 const char *cpiBucketName(CpiBucket b);
 
 /**
- * The per-System attribution profiler. All aggregation state lives in
- * the instance; the category mask is static thread-local so the hook
- * gates are one branch with no instance lookup.
+ * The per-System attribution profiler. All aggregation state and the
+ * category mask live in the instance.
  */
 class Profiler
 {
   public:
-    /** @p top_k bounds the lines in the contention dump
-     *  (ROWSIM_PROFILE_TOPK). */
-    Profiler(unsigned num_cores, unsigned commit_width,
+    /** @p mask selects the categories collected; @p top_k bounds the
+     *  lines in the contention dump (ROWSIM_PROFILE_TOPK). */
+    Profiler(std::uint32_t mask, unsigned num_cores, unsigned commit_width,
              std::uint64_t top_k);
 
-    /** Fast inline gates. */
-    static bool anyEnabled() { return mask_ != 0; }
-    static bool
-    enabled(ProfCategory c)
+    bool
+    on(ProfCategory c) const
     {
         return (mask_ & static_cast<std::uint32_t>(c)) != 0;
     }
-
-    /** Programmatic mask control (tests, SystemParams). */
-    static void configure(std::uint32_t mask) { mask_ = mask; }
-    static std::uint32_t mask() { return mask_; }
-
-    /** Mask captured at construction: what this instance collected. */
-    std::uint32_t activeMask() const { return activeMask_; }
-    bool active() const { return activeMask_ != 0; }
 
     unsigned numCores() const { return numCores_; }
     unsigned commitWidth() const { return commitWidth_; }
@@ -273,17 +259,13 @@ class Profiler
   private:
     unsigned numCores_;
     unsigned commitWidth_;
-    std::uint32_t activeMask_;
+    std::uint32_t mask_;
     std::uint64_t topK_;
 
     std::vector<CpiStack> cpi_;
     std::unordered_map<Addr, LineProf> lines_;
     std::unordered_map<Addr, RowProf> rowAudit_;
     std::unordered_map<Addr, PcProf> pcs_;
-
-    // Thread-local like the trace/check masks: each sweep worker gates
-    // independently; setupProfiling resets it per System construction.
-    static inline thread_local std::uint32_t mask_ = 0;
 };
 
 } // namespace rowsim

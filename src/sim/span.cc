@@ -31,7 +31,7 @@ spanSegName(SpanSeg s)
 }
 
 SpanTracker::SpanTracker(unsigned num_cores, std::uint64_t top_k)
-    : numCores_(num_cores), topK_(top_k), active_(enabled_)
+    : numCores_(num_cores), topK_(top_k)
 {
 }
 

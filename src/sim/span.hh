@@ -28,17 +28,17 @@
  * other), so they are *not* part of the conservation sum; critical-path
  * extraction subtracts them from the miss window instead (the
  * "critical" object on every retained record; rendered by
- * tools/span_report).
+ * `rowsim_report span`).
  *
  * Modelled on the attribution profiler (src/sim/profile.hh): state is
- * per-System, the enable gate is a static thread-local flag that
- * System::setupSpans() unconditionally re-applies per construction
- * (ROWSIM_SPANS env, overridden by SystemParams::spans), so parallel
- * sweep jobs never leak the gate across worker threads. Aggregates
- * (per-PC / per-line segment breakdowns, whole-run segment histograms
- * with p50/p90/p99) cover *every* span; full per-span records are
- * bounded by the ROWSIM_SPANS_TOPK retention policy (the K slowest
- * spans are kept, default 64), so fig-scale sweeps stay cheap.
+ * per-System, and the gate is the owning System's tracker pointer, set
+ * only when spans are on (ROWSIM_SPANS env, overridden by
+ * SystemParams::spans), so parallel sweep jobs and two Systems on one
+ * thread never share a gate. Aggregates (per-PC / per-line segment
+ * breakdowns, whole-run segment histograms with p50/p90/p99) cover
+ * *every* span; full per-span records are bounded by the
+ * ROWSIM_SPANS_TOPK retention policy (the K slowest spans are kept,
+ * default 64), so fig-scale sweeps stay cheap.
  *
  * Snapshot interaction: span state is never serialized and every
  * restored structure carries spanId = 0. Restoring a checkpoint drops
@@ -82,9 +82,9 @@ constexpr unsigned numSpanSegs = static_cast<unsigned>(SpanSeg::NumSegs);
 const char *spanSegName(SpanSeg s);
 
 /**
- * The per-System span tracker. All state lives in the instance; only
- * the enable gate is static and thread-local so the hook sites cost one
- * branch with no instance lookup when spans are off.
+ * The per-System span tracker. All state lives in the instance; it
+ * exists only when spans are on, so a hook site costs one null-pointer
+ * test when they are off.
  */
 class SpanTracker
 {
@@ -93,15 +93,8 @@ class SpanTracker
      *  per-line rows of the dump (ROWSIM_SPANS_TOPK). */
     SpanTracker(unsigned num_cores, std::uint64_t top_k);
 
-    /** Fast inline gate for every hook site. */
-    static bool enabled() { return enabled_; }
-    /** Programmatic gate control (System::setupSpans, tests). */
-    static void configure(bool on) { enabled_ = on; }
     /** Retained-record bound. */
     std::uint64_t topK() const { return topK_; }
-
-    /** Gate captured at construction: did this instance collect? */
-    bool active() const { return active_; }
     unsigned numCores() const { return numCores_; }
 
     /** One traced atomic lifetime. */
@@ -211,7 +204,6 @@ class SpanTracker
 
     unsigned numCores_;
     std::uint64_t topK_;
-    bool active_;
 
     std::uint64_t nextId_ = 1;
     std::uint64_t closedCount_ = 0;
@@ -236,11 +228,6 @@ class SpanTracker
     Histogram totalHist_{0, 8192, 64};
     Histogram missHist_{0, 8192, 64};
     Histogram lockHeldHist_{0, 2048, 64};
-
-    // Thread-local like the trace/profile masks: each sweep worker
-    // gates independently; setupSpans resets it per System
-    // construction.
-    static inline thread_local bool enabled_ = false;
 };
 
 } // namespace rowsim

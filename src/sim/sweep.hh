@@ -19,9 +19,9 @@
  * not).
  *
  * Determinism: each simulation is a pure function of its SweepJob — a
- * System touches no cross-run mutable state (trace sinks, checker
- * masks, and panic hooks are thread-local; see DESIGN.md "Performance &
- * threading model"), so parallel results are bit-identical to running
+ * System touches no cross-run mutable state (checker, profiler and span
+ * gates are per System; trace sinks and panic hooks are thread-local;
+ * see DESIGN.md "Performance & threading model"), so parallel results are bit-identical to running
  * the same jobs serially, whatever the thread count, scheduling, or
  * isolation mode.
  */

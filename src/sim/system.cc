@@ -168,11 +168,13 @@ System::setupObservability()
 void
 System::setupSelfChecking()
 {
-    // Invariant checker: like the profile mask, the check mask is
-    // re-applied on every System construction. The Checker object always
-    // exists; the static mask decides whether tick() ever calls into it.
-    Checker::configure(spec_.checkMask);
-    checker_ = std::make_unique<Checker>(this, spec_.checkInterval);
+    // Invariant checker: the Checker object always exists; its mask
+    // decides whether tick() ever calls into it. The cores' event
+    // checks read the same mask.
+    checker_ = std::make_unique<Checker>(this, spec_.checkInterval,
+                                         spec_.checkMask);
+    for (auto &c : cores)
+        c->setCheckMask(spec_.checkMask);
 
     // Fault injector: only constructed when a category is selected, so
     // the per-tick cost with faults off is one null-pointer test. The
@@ -189,7 +191,7 @@ System::setupSelfChecking()
     // Self-checking runs want post-mortem context: keep a retroactive
     // trace ring so crash dumps can replay the events leading up to a
     // violation, even with every trace sink off.
-    if ((Checker::anyEnabled() || faults_) &&
+    if ((spec_.checkMask || faults_) &&
         Trace::instance().ringCapacity() == 0) {
         Trace::instance().enableRing(256);
     }
@@ -198,15 +200,12 @@ System::setupSelfChecking()
 void
 System::setupProfiling()
 {
-    // Unlike the trace mask, the profile mask is unconditionally
-    // re-applied on every System construction, so a profiled sweep job
-    // never leaks its mask into the next job that lands on the same
-    // worker thread.
-    Profiler::configure(spec_.profileMask);
-    if (!Profiler::anyEnabled())
+    if (!spec_.profileMask)
         return;
-    profiler_ = std::make_unique<Profiler>(
-        params_.numCores, params_.core.commitWidth, spec_.profileTopK);
+    profiler_ = std::make_unique<Profiler>(spec_.profileMask,
+                                           params_.numCores,
+                                           params_.core.commitWidth,
+                                           spec_.profileTopK);
     for (auto &c : cores)
         c->setProfiler(profiler_.get());
     for (CoreId c = 0; c < params_.numCores; c++)
@@ -218,12 +217,7 @@ System::setupProfiling()
 void
 System::setupSpans()
 {
-    // Same discipline as the profile mask: the gate is unconditionally
-    // re-applied on every System construction, so a spans-on sweep job
-    // never leaks the gate into the next job that lands on the same
-    // worker thread.
-    SpanTracker::configure(spec_.spans);
-    if (!SpanTracker::enabled())
+    if (!spec_.spans)
         return;
     spans_ = std::make_unique<SpanTracker>(params_.numCores,
                                            spec_.spansTopK);
@@ -258,7 +252,7 @@ System::serviceTick()
 {
     if (intervalStats_.enabled())
         intervalStats_.tick(currentCycle);
-    if (Checker::anyEnabled())
+    if (checker_->mask())
         checker_->tick(currentCycle);
     if (currentCycle - lastWatchdogScan_ >= watchdogPeriod_)
         watchdogScan();
@@ -273,7 +267,7 @@ System::recomputeNextService()
     Cycle next = lastWatchdogScan_ + watchdogPeriod_;
     if (intervalStats_.enabled())
         next = std::min(next, intervalStats_.nextSampleAt());
-    if (Checker::anyEnabled())
+    if (checker_->mask())
         next = std::min(next, checker_->nextSweepAt());
     nextServiceCycle_ = next;
 }
@@ -408,7 +402,7 @@ System::maybeFastForward()
                  static_cast<unsigned long long>(next - 1));
     // Skipped windows never get per-tick classification; credit them as
     // explicit Idle slots so the CPI stacks stay slot-conserving.
-    if (profiler_ && Profiler::enabled(ProfCategory::Cpi))
+    if (profiler_ && profiler_->on(ProfCategory::Cpi))
         profiler_->addIdleSlots(next - 1 - currentCycle);
     ffSkipped_ += next - 1 - currentCycle;
     currentCycle = next - 1;
@@ -526,7 +520,7 @@ System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
             }
         }
         if (all_done) {
-            if (profiler_ && Profiler::enabled(ProfCategory::Check))
+            if (profiler_ && profiler_->on(ProfCategory::Check))
                 profiler_->checkConservation(currentCycle, "end of run");
             return currentCycle;
         }
@@ -801,7 +795,7 @@ System::stateDigest() const
 void
 System::saveCheckpoint(const std::string &path) const
 {
-    if (profiler_ && profiler_->active()) {
+    if (profiler_) {
         throw SnapshotError(
             "cannot checkpoint while the attribution profiler is "
             "active (format v1 does not carry profiler state; rerun "
@@ -815,7 +809,7 @@ System::saveCheckpoint(const std::string &path) const
 void
 System::restoreCheckpoint(const std::string &path)
 {
-    if (profiler_ && profiler_->active()) {
+    if (profiler_) {
         throw SnapshotError(
             "cannot restore a checkpoint while the attribution "
             "profiler is active (format v1 does not carry profiler "
@@ -1128,11 +1122,11 @@ System::dumpStatsJson(std::FILE *out) const
     }
     // Attribution profiler (absent — not empty — when profiling is off,
     // keeping the off-mode dump byte-identical to pre-profiler builds).
-    if (profiler_ && profiler_->active())
+    if (profiler_)
         std::fprintf(out, ",\n  \"profile\": %s",
                      profiler_->toJson().c_str());
     // Span tracker (same absent-when-off contract as "profile").
-    if (spans_ && spans_->active())
+    if (spans_)
         std::fprintf(out, ",\n  \"spans\": %s", spans_->toJson().c_str());
     std::fprintf(out, "\n}\n");
 }

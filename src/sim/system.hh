@@ -241,11 +241,11 @@ class System
     void heartbeatProbe(std::uint64_t iter_quota);
     /** Wire the invariant checker and fault injector. */
     void setupSelfChecking();
-    /** Reset the profile mask (re-applied on every construction) and
-     *  wire the Profiler into cores / caches / directory banks. */
+    /** Build the Profiler when the spec selects a category and wire it
+     *  into cores / caches / directory banks. */
     void setupProfiling();
-    /** Reset the span gate (re-applied on every construction) and wire
-     *  the SpanTracker into cores / caches / banks / network. */
+    /** Build the SpanTracker when spans are on and wire it into
+     *  cores / caches / banks / network. */
     void setupSpans();
     /** Per-core / per-structure forward-progress watchdog: panics naming
      *  the stuck component instead of a bare global "deadlock?". */

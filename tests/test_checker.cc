@@ -51,15 +51,6 @@ makeCounterSystem(unsigned cores, unsigned counters,
     return std::make_unique<System>(sp, std::move(streams));
 }
 
-/** The checker mask is static (process-wide); save/restore per test. */
-class CheckerTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { saved = Checker::mask(); }
-    void TearDown() override { Checker::configure(saved); }
-    std::uint32_t saved = 0;
-};
-
 } // namespace
 
 TEST(CheckCategories, ParseKnownNames)
@@ -91,7 +82,7 @@ TEST(CheckCategories, NamesRoundTrip)
     }
 }
 
-TEST_F(CheckerTest, CleanRunIsCheckerClean)
+TEST(CheckerTest, CleanRunIsCheckerClean)
 {
     auto sys = makeCounterSystem(8, 2, "all", 64);
     EXPECT_NO_THROW(sys->run(20));
@@ -101,7 +92,7 @@ TEST_F(CheckerTest, CleanRunIsCheckerClean)
     EXPECT_NO_THROW(sys->checker().sweep(sys->now()));
 }
 
-TEST_F(CheckerTest, IntervalControlsSweepCadence)
+TEST(CheckerTest, IntervalControlsSweepCadence)
 {
     auto sys = makeCounterSystem(2, 1, "occupancy", 16);
     EXPECT_EQ(sys->checker().interval(), 16u);
@@ -109,7 +100,7 @@ TEST_F(CheckerTest, IntervalControlsSweepCadence)
     EXPECT_GE(sys->checker().sweepsRun(), 10u);
 }
 
-TEST_F(CheckerTest, CorruptedDirectoryOwnerIsCaughtWithDump)
+TEST(CheckerTest, CorruptedDirectoryOwnerIsCaughtWithDump)
 {
     auto sys = makeCounterSystem(4, 1, "all", 1024);
     sys->run(5);
@@ -141,7 +132,7 @@ TEST_F(CheckerTest, CorruptedDirectoryOwnerIsCaughtWithDump)
     EXPECT_NE(err.find("\"recentTrace\":"), std::string::npos);
 }
 
-TEST_F(CheckerTest, TwoModifiedCopiesAreCaught)
+TEST(CheckerTest, TwoModifiedCopiesAreCaught)
 {
     auto sys = makeCounterSystem(4, 1, "swmr", 1024);
     sys->run(5);
@@ -166,21 +157,20 @@ TEST_F(CheckerTest, TwoModifiedCopiesAreCaught)
     EXPECT_NE(what.find("single-writer"), std::string::npos) << what;
 }
 
-TEST_F(CheckerTest, EventMacroGatesOnCategory)
+TEST(CheckerTest, EventMacroGatesOnCategory)
 {
-    Checker::configure(
-        static_cast<std::uint32_t>(CheckCategory::Locks));
-    EXPECT_THROW(
-        ROWSIM_CHECK_EVENT(CheckCategory::Locks, false, "forced failure"),
-        std::logic_error);
+    const auto locks = static_cast<std::uint32_t>(CheckCategory::Locks);
+    EXPECT_THROW(ROWSIM_CHECK_EVENT(locks, CheckCategory::Locks, false,
+                                    "forced failure"),
+                 std::logic_error);
     // Off category: the condition must not even be evaluated.
-    Checker::configure(0);
     bool evaluated = false;
     auto probe = [&]() {
         evaluated = true;
         return false;
     };
-    EXPECT_NO_THROW(
-        ROWSIM_CHECK_EVENT(CheckCategory::Locks, probe(), "gated off"));
+    const auto swmr = static_cast<std::uint32_t>(CheckCategory::Swmr);
+    EXPECT_NO_THROW(ROWSIM_CHECK_EVENT(swmr, CheckCategory::Locks, probe(),
+                                       "gated off"));
     EXPECT_FALSE(evaluated);
 }

@@ -221,7 +221,7 @@ TEST(ProfileOffOn, OffModeStatsJsonIsUntouchedAndMaskDoesNotLeak)
     RunResult off1 = runExperiment("pc", off, 8, 40, 1, true);
     RunResult ron = runExperiment("pc", all, 8, 40, 1, true);
     // A profiled run on this thread must not leak its mask into the
-    // next unprofiled System (setupProfiling re-applies per run).
+    // next unprofiled System.
     RunResult off2 = runExperiment("pc", off, 8, 40, 1, true);
 
     EXPECT_EQ(off1.statsJson, off2.statsJson);

@@ -248,3 +248,30 @@ TEST(RunSpec, CheckpointRestoreNeverLeaksIntoSpanRuns)
     EXPECT_EQ(plain.toJson(), cold.toJson());
     std::filesystem::remove_all(storeDir);
 }
+
+TEST(RunSpec, CategoryKnobsAcceptTheirDocumentedOff)
+{
+    // The knob table documents "off" as the default of the four
+    // category-list knobs; spelling it out must equal leaving it unset.
+    const SystemParams sp = makeParams(eagerConfig(), 8, 1);
+    std::vector<std::unique_ptr<ScopedEnv>> cleared;
+    for (const RunSpecKnob &k : runSpecKnobs())
+        cleared.push_back(
+            std::make_unique<ScopedEnv>(k.name, std::nullopt));
+    auto masks = [](const RunSpec &s) {
+        return std::vector<std::uint32_t>{s.checkMask, s.faultMask,
+                                          s.profileMask, s.trace.mask};
+    };
+    const RunSpec unset = resolveRunSpec(sp);
+    const ResultKey unsetKey =
+        ResultStore::keyFor(unset, sp, "pc", "eager", 100);
+    for (const char *knob : {"ROWSIM_CHECK", "ROWSIM_FAULTS",
+                             "ROWSIM_PROFILE", "ROWSIM_TRACE"}) {
+        ScopedEnv off(knob, std::string("off"));
+        const RunSpec s = resolveRunSpec(sp);
+        EXPECT_EQ(masks(s), masks(unset)) << knob;
+        EXPECT_EQ(s.ff, unset.ff) << knob;
+        EXPECT_EQ(ResultStore::keyFor(s, sp, "pc", "eager", 100), unsetKey)
+            << knob;
+    }
+}

@@ -8,8 +8,8 @@
  * machine, off-mode stats JSON must be byte-identical), sweep
  * determinism of the span summaries across thread counts, per-job
  * sink-file isolation under a concurrent sweep, restore-time span
- * truncation, the per-message-type network latency histograms, and the
- * span_report tool parsing its own toolchain's output.
+ * truncation, the per-message-type network latency histograms, and
+ * `rowsim_report span` parsing its own toolchain's output.
  */
 
 #include <gtest/gtest.h>
@@ -185,7 +185,7 @@ TEST(SpanOffOn, OffModeIsByteIdenticalAndTracingDoesNotPerturb)
     RunResult off1 = runExperiment("pc", off, 8, 40, 1, true);
     RunResult ron = runExperiment("pc", on, 8, 40, 1, true);
     // A spans-on run on this thread must not leak its gate into the
-    // next plain System (setupSpans re-applies per construction).
+    // next plain System.
     RunResult off2 = runExperiment("pc", off, 8, 40, 1, true);
 
     EXPECT_EQ(off1.statsJson, off2.statsJson);
@@ -357,7 +357,7 @@ TEST(SpanNetwork, PerMessageTypeLatencyHistogramsInStatsJson)
     EXPECT_GE(lat->summary().max(), lat->summary().min());
 }
 
-#ifdef SPAN_REPORT_PATH
+#ifdef ROWSIM_REPORT_PATH
 TEST(SpanReport, ParsesItsOwnToolchainOutput)
 {
     namespace fs = std::filesystem;
@@ -376,8 +376,8 @@ TEST(SpanReport, ParsesItsOwnToolchainOutput)
             << r.cycles << ",\"spans\":" << r.spanJson << "}\n";
     }
 
-    const std::string cmd = std::string(SPAN_REPORT_PATH) + " " + jsonl +
-                            " > " + dir + "/report.txt";
+    const std::string cmd = std::string(ROWSIM_REPORT_PATH) + " span " +
+                            jsonl + " > " + dir + "/report.txt";
     ASSERT_EQ(std::system(cmd.c_str()), 0);
 
     std::ifstream in(dir + "/report.txt");

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "sim/checker.hh"
 #include "sim/experiment.hh"
+#include "sim/profile.hh"
 #include "sim/profiles.hh"
+#include "sim/span.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
@@ -145,4 +151,39 @@ TEST(SystemIntegration, NetworkAndDirectoryStatsPopulated)
     for (unsigned b = 0; b < sys.mem().numBanks(); b++)
         getx += sys.mem().directory(b).stats().counterValue("getX");
     EXPECT_GT(getx, 0u);
+}
+
+TEST(SystemIntegration, ObservabilityGatesBelongToEachSystem)
+{
+    // Spans, profiling and checking are gated per System: building a
+    // second System with all three off on the same thread must leave
+    // the first one's observers exactly as they are when it runs alone.
+    auto build = [](bool on) {
+        SystemParams sp = makeParams(eagerConfig(), 8, 1);
+        sp.spans = on ? "on" : "off";
+        sp.profileCategories = on ? "all" : "none";
+        sp.checkCategories = on ? "all" : "none";
+        return std::make_unique<System>(sp,
+                                        makeStreams(profileFor("pc"), 8, 1));
+    };
+    std::string soloProfile;
+    {
+        auto solo = build(true);
+        solo->run(60);
+        soloProfile = solo->profiler()->toJson();
+    }
+
+    auto first = build(true);
+    auto second = build(false);
+    first->run(60);
+    ASSERT_NE(first->spans(), nullptr);
+    ASSERT_NE(first->profiler(), nullptr);
+    EXPECT_GT(first->totalAtomics(), 0u);
+    EXPECT_EQ(first->spans()->closed(), first->totalAtomics());
+    EXPECT_EQ(first->profiler()->toJson(), soloProfile);
+    EXPECT_GT(first->checker().sweepsRun(), 0u);
+
+    EXPECT_EQ(second->spans(), nullptr);
+    EXPECT_EQ(second->profiler(), nullptr);
+    EXPECT_EQ(second->checker().mask(), 0u);
 }
