@@ -78,6 +78,16 @@ AtomicQueue::lineLocked(Addr line) const
     return false;
 }
 
+bool
+AtomicQueue::anyLocked() const
+{
+    for (unsigned i = 0; i < capacity; i++) {
+        if (slots[i].valid && slots[i].locked)
+            return true;
+    }
+    return false;
+}
+
 int
 AtomicQueue::find(SeqNum seq) const
 {

@@ -100,6 +100,8 @@ class AtomicQueue
 
     /** Is @p line locked by any entry (cache-locking snoop)? */
     bool lineLocked(Addr line) const;
+    /** Does any entry hold its line locked? */
+    bool anyLocked() const;
 
     /**
      * True when every valid entry older than @p seq holds its lock.

@@ -67,6 +67,7 @@ class Core : public MemClient
                          Cycle netIssueCycle, bool contentionHint,
                          Cycle now) override;
     bool lineLocked(Addr line) const override;
+    bool anyLineLocked() const override { return aq.anyLocked(); }
     void externalRequestSnoop(Addr line, Cycle now) override;
     bool tryForceUnlock(Addr line, Cycle now) override;
 

@@ -31,12 +31,6 @@ CacheArray::CacheArray(unsigned sets, unsigned ways)
     ROWSIM_ASSERT(ways > 0, "cache must have at least one way");
 }
 
-unsigned
-CacheArray::setIndex(Addr line_addr) const
-{
-    return static_cast<unsigned>(lineNum(line_addr)) & (numSets - 1);
-}
-
 CacheArray::Line *
 CacheArray::lookup(Addr line_addr, Cycle now)
 {
@@ -44,7 +38,7 @@ CacheArray::lookup(Addr line_addr, Cycle now)
     unsigned set = setIndex(aligned);
     for (unsigned w = 0; w < numWays; w++) {
         Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
-        if (l.valid() && l.tag == aligned) {
+        if (l.tag == aligned && l.valid()) {
             l.lastUse = now;
             return &l;
         }
@@ -65,26 +59,6 @@ CacheArray::peek(Addr line_addr) const
     return nullptr;
 }
 
-CacheArray::Line *
-CacheArray::victim(Addr line_addr, const std::function<bool(Addr)> &pinned,
-                   Cycle now)
-{
-    (void)now;
-    Addr aligned = lineAlign(line_addr);
-    unsigned set = setIndex(aligned);
-    Line *best = nullptr;
-    for (unsigned w = 0; w < numWays; w++) {
-        Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
-        if (!l.valid())
-            return &l;
-        if (pinned && pinned(l.tag))
-            continue;
-        if (!best || l.lastUse < best->lastUse)
-            best = &l;
-    }
-    return best;
-}
-
 void
 CacheArray::fill(Line *way, Addr line_addr, CacheState state, Cycle now)
 {
@@ -102,11 +76,7 @@ CacheArray::invalidate(Addr line_addr)
     for (unsigned w = 0; w < numWays; w++) {
         Line &l = lines[static_cast<std::size_t>(set) * numWays + w];
         if (l.valid() && l.tag == aligned) {
-            l.state = CacheState::Invalid;
-            l.tag = invalidAddr;
-            // Canonical invalid slot (snapshots serialize valid lines
-            // only; a stale LRU stamp here is never read).
-            l.lastUse = 0;
+            clear(&l);
             return true;
         }
     }
@@ -169,7 +139,15 @@ CacheArray::restore(Deser &d)
         Line &l = lines[i];
         l.tag = d.vu64() << 6;
         l.state = static_cast<CacheState>(d.u8());
-        l.lastUse = d.vu64();
+        const std::uint64_t stamp = d.vu64();
+        if (stamp >> lruBits) {
+            throw SnapshotError(strprintf(
+                "cache array slot %llu: LRU stamp %llu does not fit the "
+                "%u-bit field",
+                static_cast<unsigned long long>(i),
+                static_cast<unsigned long long>(stamp), lruBits));
+        }
+        l.lastUse = stamp;
     }
 }
 

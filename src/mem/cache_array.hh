@@ -8,7 +8,6 @@
 #define ROWSIM_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -28,11 +27,16 @@ class Deser;
 class CacheArray
 {
   public:
+    /** Bits of the LRU stamp. The stamp and the state share one word,
+     *  so a line is 16 bytes (an 8-way set spans two host cache lines).
+     *  Stamps are cycles, which stay far below 2^56. */
+    static constexpr unsigned lruBits = 56;
+
     struct Line
     {
-        Addr tag = invalidAddr;      ///< line-aligned address
-        CacheState state = CacheState::Invalid;
-        std::uint64_t lastUse = 0;   ///< LRU timestamp
+        Addr tag = invalidAddr;                     ///< line-aligned address
+        std::uint64_t lastUse : lruBits = 0;        ///< LRU timestamp
+        CacheState state : 8 = CacheState::Invalid;
         bool valid() const { return state != CacheState::Invalid; }
     };
 
@@ -45,12 +49,35 @@ class CacheArray
 
     /**
      * Choose a victim way in the set of @p line_addr. Lines for which
-     * @p pinned returns true are skipped (AQ-locked lines). Returns
+     * @p pinned(tag) returns true are skipped (AQ-locked lines). Returns
      * nullptr when every way is pinned (caller must retry later).
      * Prefers invalid ways, then LRU.
      */
-    Line *victim(Addr line_addr,
-                 const std::function<bool(Addr)> &pinned, Cycle now);
+    template <typename Pinned>
+    Line *
+    victim(Addr line_addr, Pinned &&pinned)
+    {
+        Line *set = &lines[static_cast<std::size_t>(setIndex(line_addr)) *
+                           numWays];
+        Line *best = nullptr;
+        for (unsigned w = 0; w < numWays; w++) {
+            Line &l = set[w];
+            if (!l.valid())
+                return &l;
+            if (pinned(static_cast<Addr>(l.tag)))
+                continue;
+            if (!best || l.lastUse < best->lastUse)
+                best = &l;
+        }
+        return best;
+    }
+
+    /** Victim with nothing pinned (never nullptr). */
+    Line *
+    victim(Addr line_addr)
+    {
+        return victim(line_addr, [](Addr) { return false; });
+    }
 
     /** Install @p line_addr into @p way (previously chosen by victim()). */
     void fill(Line *way, Addr line_addr, CacheState state, Cycle now);
@@ -58,11 +85,19 @@ class CacheArray
     /** Invalidate the line if present. Returns true if it was present. */
     bool invalidate(Addr line_addr);
 
+    /** Reset @p way to the canonical invalid slot (snapshots serialize
+     *  valid lines only, so an invalid slot must hold no stale stamp). */
+    static void clear(Line *way) { *way = Line{}; }
+
     unsigned sets() const { return numSets; }
     unsigned ways() const { return numWays; }
 
     /** Set index for an address (exposed for AQ set/way annotations). */
-    unsigned setIndex(Addr line_addr) const;
+    unsigned
+    setIndex(Addr line_addr) const
+    {
+        return static_cast<unsigned>(lineNum(line_addr)) & (numSets - 1);
+    }
 
     /** Apply @p fn(tag, state) to every valid line (invariant checkers,
      *  diagnostics; does not touch replacement state). */
@@ -87,6 +122,9 @@ class CacheArray
     unsigned numWays;
     std::vector<Line> lines; ///< numSets x numWays, row-major
 };
+
+static_assert(sizeof(CacheArray::Line) == 16,
+              "a tag line packs into 16 bytes");
 
 } // namespace rowsim
 

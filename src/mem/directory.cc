@@ -59,7 +59,7 @@ Directory::dataLatency(Addr line, Cycle now, bool &from_memory)
     from_memory = true;
     // Fetch from memory and install the presence bit. LLC evictions only
     // drop presence (data always reachable in functional memory).
-    auto *way = llcArray.victim(line, nullptr, now);
+    auto *way = llcArray.victim(line);
     llcArray.fill(way, line, CacheState::Shared, now);
     stats_.counter("llcMisses")++;
     return params.l3HitLatency + params.memoryLatency;
@@ -71,7 +71,7 @@ Directory::maybeSendData(Entry &e, Cycle now)
     if (!e.dataPending || e.pendingAcks > 0)
         return;
     if (e.dataReady > now) {
-        wake.emplace(e.dataReady, e.dataMsg.line);
+        wake.push(e.dataReady, e.dataMsg.line);
         return;
     }
     net->send(e.dataMsg, now);
@@ -231,7 +231,7 @@ Directory::finishTxn(Entry &e, Addr line, Cycle now)
 
     while (!e.queued.empty() && e.state != DirState::Blocked) {
         Msg next = e.queued.front();
-        e.queued.pop_front();
+        e.queued.erase(e.queued.begin());
         if (spans_ && next.spanId)
             spans_->dirDequeued(next.spanId, now);
         if (next.type == MsgType::PutM) {
@@ -294,7 +294,7 @@ Directory::deliver(const Msg &msg, Cycle now)
         CoreId evictor = static_cast<CoreId>(msg.src);
         if (e.state == DirState::Modified && e.owner == evictor) {
             // Clean writeback: data now lives in the LLC.
-            auto *way = llcArray.victim(msg.line, nullptr, now);
+            auto *way = llcArray.victim(msg.line);
             llcArray.fill(way, msg.line, CacheState::Shared, now);
             e.state = DirState::Invalid;
             e.owner = invalidCore;
@@ -327,7 +327,7 @@ Directory::deliver(const Msg &msg, Cycle now)
 }
 
 void
-Directory::tick(Cycle now)
+Directory::service(Cycle now)
 {
     if (stalledUntil != 0 && now >= stalledUntil) {
         // Swap to a local queue first: deliver() re-buffers while the
@@ -339,12 +339,10 @@ Directory::tick(Cycle now)
             deliver(m, now);
     }
 
-    while (!wake.empty() && wake.begin()->first <= now) {
-        Addr line = wake.begin()->second;
-        wake.erase(wake.begin());
-        auto it = entries.find(line);
-        if (it != entries.end() && it->second.state == DirState::Blocked)
-            maybeSendData(it->second, now);
+    while (!wake.empty() && wake.topCycle() <= now) {
+        Entry *e = entries.find(wake.pop());
+        if (e && e->state == DirState::Blocked)
+            maybeSendData(*e, now);
     }
 }
 
@@ -361,7 +359,7 @@ Directory::nextEventCycle(Cycle now) const
     if (stalledUntil != 0)
         next = std::max(stalledUntil, now + 1);
     if (!wake.empty())
-        next = std::min(next, std::max(wake.begin()->first, now + 1));
+        next = std::min(next, std::max(wake.topCycle(), now + 1));
     return next;
 }
 
@@ -393,8 +391,8 @@ Directory::testSetLine(Addr line, DirState state, CoreId owner,
 std::uint64_t
 Directory::lineSharers(Addr line) const
 {
-    auto it = entries.find(lineAlign(line));
-    return it == entries.end() ? 0 : it->second.sharers;
+    const Entry *e = entries.find(lineAlign(line));
+    return e ? e->sharers : 0;
 }
 
 void
@@ -420,7 +418,7 @@ Directory::funcWriteback(Addr line, CoreId evictor, Cycle now)
                   "funcWriteback on in-flight line %#lx",
                   static_cast<unsigned long>(line));
     if (e.state == DirState::Modified && e.owner == evictor) {
-        auto *way = llcArray.victim(line, nullptr, now);
+        auto *way = llcArray.victim(line);
         llcArray.fill(way, line, CacheState::Shared, now);
         e.state = DirState::Invalid;
         e.owner = invalidCore;
@@ -434,7 +432,7 @@ Directory::funcTouchLlc(Addr line, Cycle now)
     line = lineAlign(line);
     if (llcArray.lookup(line, now))
         return;
-    auto *way = llcArray.victim(line, nullptr, now);
+    auto *way = llcArray.victim(line);
     llcArray.fill(way, line, CacheState::Shared, now);
 }
 
@@ -446,16 +444,14 @@ Directory::dumpDiag(std::FILE *out, Cycle now) const
                  "\"blockedLines\":[",
                  bankIndex, blockedLines, stallBuffer.size());
     bool first = true;
-    for (const auto &kv : entries) {
-        const Entry &e = kv.second;
+    entries.forEach([&](Addr line, const Entry &e) {
         if (e.state != DirState::Blocked)
-            continue;
+            return;
         std::fprintf(out,
                      "%s{\"line\":\"%#llx\",\"requester\":%u,"
                      "\"pendingAcks\":%u,\"dataPending\":%d,"
                      "\"queued\":%zu,\"blockedFor\":%llu}",
-                     first ? "" : ",",
-                     static_cast<unsigned long long>(kv.first),
+                     first ? "" : ",", static_cast<unsigned long long>(line),
                      e.txnRequester, e.pendingAcks, e.dataPending ? 1 : 0,
                      e.queued.size(),
                      static_cast<unsigned long long>(
@@ -463,22 +459,22 @@ Directory::dumpDiag(std::FILE *out, Cycle now) const
                              ? 0
                              : now - e.blockedSince));
         first = false;
-    }
-    std::fprintf(out, "]}");
+    });
+    std::fprintf(out, "],\"wake\":%zu}", wake.size());
 }
 
 DirState
 Directory::lineState(Addr line) const
 {
-    auto it = entries.find(lineAlign(line));
-    return it == entries.end() ? DirState::Invalid : it->second.state;
+    const Entry *e = entries.find(lineAlign(line));
+    return e ? e->state : DirState::Invalid;
 }
 
 CoreId
 Directory::lineOwner(Addr line) const
 {
-    auto it = entries.find(lineAlign(line));
-    return it == entries.end() ? invalidCore : it->second.owner;
+    const Entry *e = entries.find(lineAlign(line));
+    return e ? e->owner : invalidCore;
 }
 
 void
@@ -511,13 +507,13 @@ Directory::save(Ser &s) const
                e.blockedSince == invalidCycle && e.queued.empty();
     };
 
-    // Sorted key order: images must not depend on hash iteration order.
+    // Sorted key order: images must not depend on insertion order.
     // Flat copy + sort, not std::map — a node allocation per line is
     // measurable at checkpoint cadence on full-map directories.
     std::vector<std::pair<Addr, const Entry *>> sorted;
     sorted.reserve(entries.size());
-    for (const auto &kv : entries)
-        sorted.emplace_back(kv.first, &kv.second);
+    entries.forEach(
+        [&](Addr line, const Entry &e) { sorted.emplace_back(line, &e); });
     std::sort(sorted.begin(), sorted.end());
     s.u64(sorted.size());
     Addr prevLine = 0;
@@ -549,10 +545,10 @@ Directory::save(Ser &s) const
     }
 
     s.u64(wake.size());
-    for (const auto &[cycle, line] : wake) {
+    wake.forEachInOrder([&](Cycle cycle, Addr line) {
         s.u64(cycle);
         s.u64(line);
-    }
+    });
 
     s.u64(stallBuffer.size());
     for (const Msg &m : stallBuffer)
@@ -581,6 +577,8 @@ Directory::restore(Deser &d)
     for (std::uint64_t i = 0; i < nEntries; i++) {
         const Addr line = prevLine + d.vu64();
         prevLine = line;
+        if (line == invalidAddr)
+            throw SnapshotError("directory entry at the invalid address");
         Entry &e = entries[line];
         // Flag byte from save(): low bits = stable state, top bit =
         // quiescent (transaction fields stay default-constructed).
@@ -614,7 +612,7 @@ Directory::restore(Deser &d)
     for (std::uint64_t i = 0; i < nWake; i++) {
         const Cycle cycle = d.u64();
         const Addr line = d.u64();
-        wake.emplace_hint(wake.end(), cycle, line);
+        wake.push(cycle, line);
     }
 
     stallBuffer.clear();

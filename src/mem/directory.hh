@@ -14,13 +14,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache_array.hh"
+#include "mem/flat_tables.hh"
 #include "net/message.hh"
 #include "net/network.hh"
 #include "sim/profile.hh"
@@ -55,7 +55,17 @@ class Directory : public MsgHandler
               const MemParams &params, Network *net);
 
     void deliver(const Msg &msg, Cycle now) override;
-    void tick(Cycle now);
+
+    /** Advance one cycle. Most cycles a bank has neither a stall to
+     *  drain nor a data reply due, and returns here without a call. */
+    void
+    tick(Cycle now)
+    {
+        if ((stalledUntil != 0 && now >= stalledUntil) ||
+            (!wake.empty() && wake.topCycle() <= now))
+            service(now);
+    }
+
     bool idle() const;
 
     /** Earliest future cycle tick() would do anything absent new
@@ -93,9 +103,8 @@ class Directory : public MsgHandler
     forEachLine(Fn &&fn) const
     {
         LineInfo info;
-        for (const auto &kv : entries) {
-            const Entry &e = kv.second;
-            info.line = kv.first;
+        entries.forEach([&](Addr line, const Entry &e) {
+            info.line = line;
             info.state = e.state;
             info.sharers = e.sharers;
             info.owner = e.owner;
@@ -105,7 +114,7 @@ class Directory : public MsgHandler
             info.blockedSince = e.blockedSince;
             info.queued = e.queued.size();
             fn(info);
-        }
+        });
     }
 
     unsigned blockedCount() const { return blockedLines; }
@@ -181,7 +190,9 @@ class Directory : public MsgHandler
          *  serialized — restored transactions are untraced). */
         std::uint64_t txnSpanId = 0;
 
-        std::deque<Msg> queued;
+        /** Requests waiting behind the transaction, oldest first (no
+         *  allocation while empty, which almost every entry is). */
+        std::vector<Msg> queued;
     };
 
     /** Process a request against an unblocked entry (may block it).
@@ -195,6 +206,8 @@ class Directory : public MsgHandler
     void maybeSendData(Entry &e, Cycle now);
     /** Apply the Unblock, then drain queued requests. */
     void finishTxn(Entry &e, Addr line, Cycle now);
+    /** tick()'s work: drain an expired stall, send due data replies. */
+    void service(Cycle now);
 
     void
     sendToCore(MsgType t, Addr line, CoreId core, CoreId requester,
@@ -208,9 +221,11 @@ class Directory : public MsgHandler
     Network *net;
     OracleHook oracle;
 
-    std::unordered_map<Addr, Entry> entries;
+    /** One entry per line ever touched. Entries never move, so an
+     *  Entry& stays valid across re-entrant deliver() calls. */
+    LineTable<Entry> entries;
     /** Lines whose data reply is waiting for the LLC/memory latency. */
-    std::multimap<Cycle, Addr> wake;
+    EventHeap<Addr> wake;
     /** Fault injection: deliveries buffered while the bank is stalled. */
     std::deque<Msg> stallBuffer;
     Cycle stalledUntil = 0;

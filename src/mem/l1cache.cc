@@ -1,7 +1,6 @@
 #include "mem/l1cache.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/log.hh"
 #include "common/trace.hh"
@@ -16,7 +15,8 @@ PrivateCache::PrivateCache(CoreId core, const MemParams &p, Network *network,
                            FunctionalMemory *functional)
     : lockStealThreshold(p.lockStealThreshold), coreId(core), params(p),
       net(network), fmem(functional), l1Array(p.l1Sets, p.l1Ways),
-      l2Array(p.l2Sets, p.l2Ways), stats_(strprintf("l1d%u", core))
+      l2Array(p.l2Sets, p.l2Ways), mshrs(p.mshrs), evicting(p.mshrs),
+      stats_(strprintf("l1d%u", core))
 {
 }
 
@@ -60,7 +60,7 @@ PrivateCache::completeWaiter(const MshrWaiter &w, FillSource src,
         r.value = fmem->read64(w.addr);
         r.doneCycle = std::max(now, fill_cycle) + params.l1HitLatency;
     }
-    dueResults.emplace(r.doneCycle, r);
+    dueResults.push(r.doneCycle, r);
 }
 
 void
@@ -80,8 +80,7 @@ PrivateCache::access(const MemAccess &a, Cycle now)
         if (!l1hit) {
             stats_.counter("l1Misses")++;
             stats_.average("missLatency").sample(static_cast<double>(lat));
-            auto *way = l1Array.victim(line,
-                [this](Addr t) { return client->lineLocked(t); }, now);
+            auto *way = unpinnedVictim(l1Array, line);
             if (way)
                 l1Array.fill(way, line, l2line->state, now);
         } else {
@@ -103,7 +102,7 @@ PrivateCache::access(const MemAccess &a, Cycle now)
                 r.value = fmem->read64(a.addr);
                 r.doneCycle = now + lat;
             }
-            dueResults.emplace(r.doneCycle, r);
+            dueResults.push(r.doneCycle, r);
         }
         return;
     }
@@ -129,11 +128,9 @@ PrivateCache::access(const MemAccess &a, Cycle now)
     w.addr = a.addr;
     w.spanId = a.spanId;
 
-    auto it = mshrs.find(line);
-    if (it != mshrs.end()) {
-        if (it->second.prefetchOnly)
-            it->second.prefetchOnly = false;
-        it->second.waiters.push_back(w);
+    if (Mshr *pending = mshrs.find(line)) {
+        pending->prefetchOnly = false;
+        pending->waiters.push_back(w);
         stats_.counter("mshrCoalesced")++;
         return;
     }
@@ -148,7 +145,7 @@ PrivateCache::access(const MemAccess &a, Cycle now)
     m.exclusiveRequested = a.needExclusive;
     m.netIssueCycle = now;
     m.waiters.push_back(w);
-    mshrs.emplace(line, std::move(m));
+    mshrs.insert(line, std::move(m));
     sendRequest(line, a.needExclusive, false, a.spanId, now);
 
     if (params.prefetcher && !a.isWrite && !a.isAtomic)
@@ -159,7 +156,8 @@ void
 PrivateCache::maybePrefetch(Addr line, Cycle now)
 {
     const Addr next = line + lineBytes;
-    if (l2Array.peek(next) || mshrs.count(next) || evicting.count(next))
+    if (l2Array.peek(next) || mshrs.contains(next) ||
+        evicting.contains(next))
         return;
     if (mshrs.size() + 1 >= params.mshrs)
         return; // keep headroom for demand misses
@@ -168,8 +166,17 @@ PrivateCache::maybePrefetch(Addr line, Cycle now)
     m.exclusiveRequested = false;
     m.prefetchOnly = true;
     m.netIssueCycle = now;
-    mshrs.emplace(next, std::move(m));
+    mshrs.insert(next, std::move(m));
     sendRequest(next, false, true, 0, now);
+}
+
+CacheArray::Line *
+PrivateCache::unpinnedVictim(CacheArray &array, Addr line)
+{
+    if (!client->anyLineLocked())
+        return array.victim(line);
+    return array.victim(line,
+                        [this](Addr t) { return client->lineLocked(t); });
 }
 
 void
@@ -177,7 +184,7 @@ PrivateCache::evictLine(CacheArray::Line *way, Cycle now)
 {
     const Addr victim_line = way->tag;
     if (way->state == CacheState::Modified) {
-        evicting[victim_line] = now;
+        evicting.insert(victim_line, now);
         Msg m;
         m.type = MsgType::PutM;
         m.line = victim_line;
@@ -188,22 +195,18 @@ PrivateCache::evictLine(CacheArray::Line *way, Cycle now)
         stats_.counter("writebacks")++;
     }
     l1Array.invalidate(victim_line);
-    way->state = CacheState::Invalid;
-    way->tag = invalidAddr;
-    way->lastUse = 0; // canonical invalid slot, see CacheArray::save
+    CacheArray::clear(way);
 }
 
 bool
 PrivateCache::installLine(Addr line, CacheState state, Cycle now)
 {
-    auto pinned = [this](Addr t) { return client->lineLocked(t); };
-
     // Upgrade fills (S -> M) must update the existing entry in place;
     // installing a second copy would leave a stale Shared duplicate.
     if (auto *present = l2Array.lookup(line, now)) {
         present->state = state;
     } else {
-        auto *way = l2Array.victim(line, pinned, now);
+        auto *way = unpinnedVictim(l2Array, line);
         if (!way)
             return false;
         if (way->valid())
@@ -214,7 +217,7 @@ PrivateCache::installLine(Addr line, CacheState state, Cycle now)
     if (auto *l1present = l1Array.lookup(line, now)) {
         l1present->state = state;
     } else {
-        auto *l1way = l1Array.victim(line, pinned, now);
+        auto *l1way = unpinnedVictim(l1Array, line);
         if (l1way)
             l1Array.fill(l1way, line, state, now);
     }
@@ -225,10 +228,12 @@ void
 PrivateCache::handleFill(const Msg &msg, Cycle now)
 {
     const Addr line = msg.line;
-    auto it = mshrs.find(line);
-    ROWSIM_ASSERT(it != mshrs.end(), "fill without MSHR, line %#lx core %u",
+    Mshr *found = mshrs.find(line);
+    ROWSIM_ASSERT(found != nullptr, "fill without MSHR, line %#lx core %u",
                   static_cast<unsigned long>(line), coreId);
-    Mshr &m = it->second;
+    // Stays valid across the client callbacks below: they may allocate
+    // MSHRs, never free one, and the table never outgrows its slots.
+    Mshr &m = *found;
 
     const CacheState state =
         msg.excl ? CacheState::Modified : CacheState::Shared;
@@ -296,7 +301,7 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
         return;
     }
 
-    mshrs.erase(it);
+    mshrs.erase(line);
     drainPending(now);
 }
 
@@ -330,8 +335,8 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
                           msgTypeName(msg.type), coreId,
                           static_cast<unsigned long>(line),
                           static_cast<int>(l2line->state),
-                          static_cast<int>(mshrs.count(line)),
-                          static_cast<int>(evicting.count(line)));
+                          static_cast<int>(mshrs.contains(line)),
+                          static_cast<int>(evicting.contains(line)));
             if (excl) {
                 l1Array.invalidate(line);
                 l2Array.invalidate(line);
@@ -343,7 +348,7 @@ PrivateCache::applyExternal(const Msg &msg, Cycle now)
         } else {
             // Our PutM crossed with this forward: answer from the
             // writeback buffer.
-            ROWSIM_ASSERT(evicting.count(line),
+            ROWSIM_ASSERT(evicting.contains(line),
                           "forward for absent line %#lx at core %u",
                           static_cast<unsigned long>(line), coreId);
         }
@@ -449,11 +454,8 @@ PrivateCache::drainPending(Cycle now)
 void
 PrivateCache::tick(Cycle now)
 {
-    while (!dueResults.empty() && dueResults.begin()->first <= now) {
-        MemResult r = dueResults.begin()->second;
-        dueResults.erase(dueResults.begin());
-        client->accessDone(r);
-    }
+    while (!dueResults.empty() && dueResults.topCycle() <= now)
+        client->accessDone(dueResults.pop());
 
     if (!deferredFills.empty()) {
         std::vector<Msg> retry;
@@ -518,7 +520,7 @@ PrivateCache::nextEventCycle(Cycle now) const
             next = c;
     };
     if (!dueResults.empty())
-        consider(std::max(dueResults.begin()->first, now + 1));
+        consider(std::max(dueResults.topCycle(), now + 1));
     // A stalled external becomes actionable the first tick strictly past
     // the steal threshold; from then on the steal-attempt counter ticks
     // every cycle, so the bound collapses to now+1 (no skipping while a
@@ -533,8 +535,8 @@ PrivateCache::forceEvict(Addr line, Cycle now)
 {
     line = lineAlign(line);
     auto *way = l2Array.lookup(line, now);
-    if (!way || client->lineLocked(line) || mshrs.count(line) ||
-        evicting.count(line)) {
+    if (!way || client->lineLocked(line) || mshrs.contains(line) ||
+        evicting.contains(line)) {
         return false;
     }
     evictLine(way, now);
@@ -553,7 +555,7 @@ PrivateCache::testSetLineState(Addr line, CacheState state, Cycle now)
         present->state = state;
         return;
     }
-    auto *way = l2Array.victim(line, nullptr, now);
+    auto *way = l2Array.victim(line);
     ROWSIM_ASSERT(way != nullptr, "testSetLineState: no victim way");
     if (way->valid())
         evictLine(way, now);
@@ -568,15 +570,13 @@ PrivateCache::funcInstall(Addr line, CacheState state, Cycle now,
     if (auto *present = l2Array.lookup(line, now)) {
         present->state = state;
     } else {
-        auto *way = l2Array.victim(line, nullptr, now);
+        auto *way = l2Array.victim(line);
         ROWSIM_ASSERT(way != nullptr, "funcInstall: no victim way");
         if (way->valid()) {
             if (way->state == CacheState::Modified && evicted_dirty)
                 evicted_dirty->push_back(way->tag);
             l1Array.invalidate(way->tag);
-            way->state = CacheState::Invalid;
-            way->tag = invalidAddr;
-            way->lastUse = 0; // canonical invalid slot (CacheArray::save)
+            CacheArray::clear(way);
         }
         l2Array.fill(way, line, state, now);
     }
@@ -584,7 +584,7 @@ PrivateCache::funcInstall(Addr line, CacheState state, Cycle now,
     if (auto *l1present = l1Array.lookup(line, now)) {
         l1present->state = state;
     } else {
-        auto *l1way = l1Array.victim(line, nullptr, now);
+        auto *l1way = l1Array.victim(line);
         if (l1way)
             l1Array.fill(l1way, line, state, now);
     }
@@ -622,28 +622,24 @@ PrivateCache::dumpDiag(std::FILE *out, Cycle now) const
                  "{\"cache\":\"l1d%u\",\"idle\":%s,\"mshrs\":[", coreId,
                  idle() ? "true" : "false");
     bool first = true;
-    for (const auto &kv : mshrs) {
+    mshrs.forEach([&](Addr line, const Mshr &m) {
         std::fprintf(out,
                      "%s{\"line\":\"%#llx\",\"excl\":%d,\"prefetch\":%d,"
                      "\"waiters\":%zu,\"age\":%llu}",
-                     first ? "" : ",",
-                     static_cast<unsigned long long>(kv.first),
-                     kv.second.exclusiveRequested ? 1 : 0,
-                     kv.second.prefetchOnly ? 1 : 0,
-                     kv.second.waiters.size(),
-                     static_cast<unsigned long long>(
-                         now - kv.second.netIssueCycle));
+                     first ? "" : ",", static_cast<unsigned long long>(line),
+                     m.exclusiveRequested ? 1 : 0, m.prefetchOnly ? 1 : 0,
+                     m.waiters.size(),
+                     static_cast<unsigned long long>(now - m.netIssueCycle));
         first = false;
-    }
+    });
     std::fprintf(out, "],\"evicting\":[");
     first = true;
-    for (const auto &kv : evicting) {
+    evicting.forEach([&](Addr line, Cycle since) {
         std::fprintf(out, "%s{\"line\":\"%#llx\",\"age\":%llu}",
-                     first ? "" : ",",
-                     static_cast<unsigned long long>(kv.first),
-                     static_cast<unsigned long long>(now - kv.second));
+                     first ? "" : ",", static_cast<unsigned long long>(line),
+                     static_cast<unsigned long long>(now - since));
         first = false;
-    }
+    });
     std::fprintf(out, "],\"stalledExternals\":[");
     first = true;
     for (const auto &s : stalledExternals) {
@@ -732,13 +728,10 @@ PrivateCache::save(Ser &s) const
     l1Array.save(s);
     l2Array.save(s);
 
-    // Unordered maps are serialized in sorted key order so images are
-    // identical regardless of hash-table iteration order.
-    std::map<Addr, const Mshr *> sortedMshrs;
-    for (const auto &kv : mshrs)
-        sortedMshrs.emplace(kv.first, &kv.second);
-    s.u64(sortedMshrs.size());
-    for (const auto &[line, m] : sortedMshrs) {
+    // Slot tables are serialized in sorted key order so images are
+    // identical regardless of slot reuse order.
+    s.u64(mshrs.size());
+    for (const auto &[line, m] : mshrs.sorted()) {
         s.u64(line);
         s.u64(m->line);
         s.b(m->exclusiveRequested);
@@ -762,11 +755,10 @@ PrivateCache::save(Ser &s) const
         s.u64(cycle);
     }
 
-    std::map<Addr, Cycle> sortedEvicting(evicting.begin(), evicting.end());
-    s.u64(sortedEvicting.size());
-    for (const auto &[line, cycle] : sortedEvicting) {
+    s.u64(evicting.size());
+    for (const auto &[line, cycle] : evicting.sorted()) {
         s.u64(line);
-        s.u64(cycle);
+        s.u64(*cycle);
     }
 
     s.u64(stalledExternals.size());
@@ -780,10 +772,10 @@ PrivateCache::save(Ser &s) const
         saveMsg(s, m);
 
     s.u64(dueResults.size());
-    for (const auto &[cycle, r] : dueResults) {
+    dueResults.forEachInOrder([&](Cycle cycle, const MemResult &r) {
         s.u64(cycle);
         saveResult(s, r);
-    }
+    });
 
     s.u64(lockStealThreshold);
 }
@@ -799,7 +791,7 @@ PrivateCache::restore(Deser &d)
     const std::uint64_t nMshrs = d.u64();
     for (std::uint64_t i = 0; i < nMshrs; i++) {
         const Addr key = d.u64();
-        Mshr &m = mshrs[key];
+        Mshr &m = mshrs.insert(key, Mshr{});
         m.line = d.u64();
         m.exclusiveRequested = d.b();
         m.prefetchOnly = d.b();
@@ -830,7 +822,7 @@ PrivateCache::restore(Deser &d)
     const std::uint64_t nEvicting = d.u64();
     for (std::uint64_t i = 0; i < nEvicting; i++) {
         const Addr line = d.u64();
-        evicting[line] = d.u64();
+        evicting.insert(line, d.u64());
     }
 
     stalledExternals.clear();
@@ -852,7 +844,7 @@ PrivateCache::restore(Deser &d)
         const Cycle cycle = d.u64();
         MemResult r;
         restoreResult(d, r);
-        dueResults.emplace_hint(dueResults.end(), cycle, r);
+        dueResults.push(cycle, r);
     }
 
     lockStealThreshold = d.u64();

@@ -15,14 +15,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache_array.hh"
+#include "mem/flat_tables.hh"
 #include "mem/mshr.hh"
 #include "net/message.hh"
 #include "net/network.hh"
@@ -88,6 +87,9 @@ class MemClient
 
     /** Is this line currently locked by an in-flight atomic (AQ snoop)? */
     virtual bool lineLocked(Addr line) const = 0;
+    /** Does any in-flight atomic hold a lock? When not, victim choice
+     *  skips the per-way lineLocked() snoop. */
+    virtual bool anyLineLocked() const = 0;
 
     /**
      * An external request (Inv/FwdGetS/FwdGetX) for @p line reached this
@@ -153,12 +155,16 @@ class PrivateCache : public MsgHandler
     // ---- invariant-checker / diagnostics probes (read-only) ----
 
     /** True when a miss for @p line is outstanding. */
-    bool hasMshr(Addr line) const { return mshrs.count(lineAlign(line)); }
+    bool
+    hasMshr(Addr line) const
+    {
+        return mshrs.contains(lineAlign(line));
+    }
     /** True when a PutM for @p line is in flight (writeback buffer). */
     bool
     isEvicting(Addr line) const
     {
-        return evicting.count(lineAlign(line));
+        return evicting.contains(lineAlign(line));
     }
     std::size_t mshrCount() const { return mshrs.size(); }
 
@@ -167,8 +173,7 @@ class PrivateCache : public MsgHandler
     void
     forEachEvicting(Fn &&fn) const
     {
-        for (const auto &kv : evicting)
-            fn(kv.first, kv.second);
+        evicting.forEach(fn);
     }
 
     /** Apply @p fn(line, mshr) to every outstanding MSHR. */
@@ -176,8 +181,7 @@ class PrivateCache : public MsgHandler
     void
     forEachMshr(Fn &&fn) const
     {
-        for (const auto &kv : mshrs)
-            fn(kv.first, kv.second);
+        mshrs.forEach(fn);
     }
 
     /** Apply @p fn(line, state) to every valid coherence (L2) line. */
@@ -266,6 +270,9 @@ class PrivateCache : public MsgHandler
     /** Insert @p line into L1+L2 arrays, evicting as needed.
      *  @return false when every way is pinned and the fill must retry. */
     bool installLine(Addr line, CacheState state, Cycle now);
+    /** Victim way for @p line in @p array, skipping AQ-locked lines
+     *  (the per-way snoop only runs while some atomic holds a lock). */
+    CacheArray::Line *unpinnedVictim(CacheArray &array, Addr line);
     /** Evict from the L2 (coherence) array: PutM if dirty. */
     void evictLine(CacheArray::Line *way, Cycle now);
     /** Issue a next-line prefetch after a demand miss. */
@@ -282,16 +289,19 @@ class PrivateCache : public MsgHandler
     CacheArray l1Array;
     CacheArray l2Array; ///< the coherence array
 
-    std::unordered_map<Addr, Mshr> mshrs;
+    /** Outstanding misses, at most params.mshrs: the table is sized
+     *  for them up front, so an Mshr& never moves while it is live. */
+    LineSlots<Mshr> mshrs;
     std::deque<std::pair<MemAccess, Cycle>> pendingAccesses;
     /** Dirty lines with a PutM in flight; they still answer forwards.
      *  Maps line -> cycle the PutM was sent (leak detection). */
-    std::unordered_map<Addr, Cycle> evicting;
+    LineSlots<Cycle> evicting;
     std::vector<StalledExternal> stalledExternals;
     /** Fills that could not find an unpinned victim, retried each tick. */
     std::vector<Msg> deferredFills;
 
-    std::multimap<Cycle, MemResult> dueResults;
+    /** Completions due at a cycle, FIFO among equal cycles. */
+    EventHeap<MemResult> dueResults;
 
     Profiler *prof_ = nullptr;
     SpanTracker *spans_ = nullptr;

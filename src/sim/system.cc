@@ -69,10 +69,14 @@ void
 System::setupObservability()
 {
     // Tracing: the environment's request first (so every bench and
-    // example picks it up), then explicit SystemParams overrides.
+    // example picks it up), then explicit SystemParams overrides. The
+    // gates are thread-local, so both are re-applied on every
+    // construction: a System that asks for no tracing must not inherit
+    // the previous System's categories or ring.
     Trace::initOnce(spec_.trace);
-    if (spec_.traceParamsMask)
-        Trace::instance().configure(spec_.traceParamsMask);
+    Trace::instance().configure(spec_.traceParamsMask ? spec_.traceParamsMask
+                                                      : spec_.trace.mask);
+    Trace::instance().enableRing(spec_.trace.ring);
     if (Trace::anyEnabled() && !params_.traceJsonPath.empty() &&
         !Trace::instance().jsonOpen()) {
         Trace::instance().openJson(params_.traceJsonPath);
@@ -191,10 +195,8 @@ System::setupSelfChecking()
     // Self-checking runs want post-mortem context: keep a retroactive
     // trace ring so crash dumps can replay the events leading up to a
     // violation, even with every trace sink off.
-    if ((spec_.checkMask || faults_) &&
-        Trace::instance().ringCapacity() == 0) {
+    if ((spec_.checkMask || faults_) && spec_.trace.ring == 0)
         Trace::instance().enableRing(256);
-    }
 }
 
 void

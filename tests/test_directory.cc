@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "common/rng.hh"
 #include "mem/directory.hh"
 #include "net/network.hh"
+#include "sim/snapshot.hh"
 
 using namespace rowsim;
 
@@ -247,4 +251,111 @@ TEST_F(DirectoryTest, IdleReflectsOutstandingTransactions)
     sendToDir(MsgType::Unblock, 0);
     settle(now + 600);
     EXPECT_TRUE(dir.idle());
+}
+
+TEST_F(DirectoryTest, EqualCycleWakesSendDataFirstInFirstOut)
+{
+    // Sixteen cold GetS to distinct lines, all sent in one cycle from
+    // one core: every reply waits the same memory latency, so all the
+    // wakes fall due on one cycle. They must fire in request order
+    // (network order between one pair of nodes is FIFO, so the core's
+    // inbox shows the order the bank sent them in).
+    std::vector<Addr> lines;
+    for (Addr l = 0; lines.size() < 16; l += lineBytes) {
+        if (net.homeBank(l) == cores + 0)
+            lines.push_back(l);
+    }
+    for (Addr l : lines) {
+        line = l;
+        sendToDir(MsgType::GetS, 0);
+    }
+    settle();
+    std::vector<Addr> replies;
+    for (const Msg &m : stubs[0].inbox) {
+        if (m.type == MsgType::Data)
+            replies.push_back(m.line);
+    }
+    EXPECT_EQ(replies, lines);
+}
+
+TEST(DirectoryTable, GrowsAcrossResizesAndSavesInKeyOrder)
+{
+    // Well over ten thousand lines in one bank: the entry index doubles
+    // many times. Probes must agree with a std::map model throughout,
+    // and the image must not depend on the order lines arrived in.
+    const unsigned cores = 8;
+    Network net(cores, NetParams{});
+    Directory a(0, cores, MemParams{}, &net);
+    Directory b(0, cores, MemParams{}, &net);
+    struct Want
+    {
+        DirState state;
+        CoreId owner;
+        std::uint64_t sharers;
+    };
+    std::map<Addr, Want> model;
+    Rng rng(11);
+    std::vector<Addr> order;
+    while (model.size() < 12000) {
+        const Addr line = lineAlign(rng.next() & 0xffffffffffULL);
+        const unsigned pick = static_cast<unsigned>(rng.next() % 3);
+        Want w{DirState::Invalid, invalidCore, 0};
+        if (pick == 1) {
+            w.state = DirState::Shared;
+            w.sharers = (rng.next() & 0xff) | 1;
+        } else if (pick == 2) {
+            w.state = DirState::Modified;
+            w.owner = static_cast<CoreId>(rng.next() % cores);
+        }
+        if (!model.count(line))
+            order.push_back(line);
+        model[line] = w;
+        a.funcSetLine(line, w.state, w.owner, w.sharers);
+        if (model.size() % 1000 == 0) {
+            // Spot-check mid-growth.
+            const auto &[l, want] = *model.begin();
+            EXPECT_EQ(a.lineState(l), want.state);
+        }
+    }
+    // Same final contents into the second bank, in reverse arrival order.
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const Want &w = model.at(*it);
+        b.funcSetLine(*it, w.state, w.owner, w.sharers);
+    }
+
+    for (const auto &[l, w] : model) {
+        ASSERT_EQ(a.lineState(l), w.state);
+        ASSERT_EQ(a.lineOwner(l), w.owner);
+        ASSERT_EQ(a.lineSharers(l), w.sharers);
+    }
+    EXPECT_EQ(a.lineState(lineAlign(0xffffffffffffULL)), DirState::Invalid);
+    EXPECT_EQ(a.lineOwner(lineAlign(0xffffffffffffULL)), invalidCore);
+
+    std::map<Addr, Want> seen;
+    a.forEachLine([&](const Directory::LineInfo &i) {
+        EXPECT_TRUE(seen.emplace(i.line, Want{i.state, i.owner, i.sharers})
+                        .second)
+            << "line visited twice";
+    });
+    ASSERT_EQ(seen.size(), model.size());
+    for (const auto &[l, w] : model) {
+        const Want &got = seen.at(l);
+        EXPECT_EQ(got.state, w.state);
+        EXPECT_EQ(got.owner, w.owner);
+        EXPECT_EQ(got.sharers, w.sharers);
+    }
+
+    Ser sa, sb;
+    a.save(sa);
+    b.save(sb);
+    EXPECT_EQ(sa.bytes(), sb.bytes());
+
+    // And the image restores into a third bank that saves it back.
+    Directory c(0, cores, MemParams{}, &net);
+    Deser d(sa.bytes());
+    c.restore(d);
+    Ser sc;
+    c.save(sc);
+    EXPECT_EQ(sc.bytes(), sa.bytes());
+    EXPECT_EQ(c.lineOwner(order.front()), model.at(order.front()).owner);
 }

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "mem/flat_tables.hh"
 #include "mem/memsystem.hh"
 
 using namespace rowsim;
@@ -43,6 +46,11 @@ struct ScriptClient : MemClient
     lineLocked(Addr line) const override
     {
         return lockedLines.count(lineAlign(line)) > 0;
+    }
+    bool
+    anyLineLocked() const override
+    {
+        return !lockedLines.empty();
     }
     void
     externalRequestSnoop(Addr line, Cycle) override
@@ -281,4 +289,195 @@ TEST_F(PrivateCacheTest, SystemQuiescesAfterTraffic)
     }
     run(3000);
     EXPECT_TRUE(mem->idle());
+}
+
+TEST_F(PrivateCacheTest, MshrTableFillsCoalescesAndDrains)
+{
+    // Cold store misses to consecutive lines (homed at different banks,
+    // so fills return out of order and free MSHRs from the middle).
+    const unsigned n = params.mem.mshrs;
+    std::set<Addr> lines;
+    for (unsigned i = 0; i < n; i++) {
+        const Addr a = 0x40000 + static_cast<Addr>(i) * lineBytes;
+        lines.insert(a);
+        mem->cache(0).access(store(a, i, i), now);
+    }
+    PrivateCache &pc = mem->cache(0);
+    EXPECT_EQ(pc.mshrCount(), n);
+    // Table full: the next distinct miss waits for a free MSHR.
+    pc.access(store(0x90000, 1, 1000), now);
+    EXPECT_EQ(pc.mshrCount(), n);
+    EXPECT_EQ(pc.stats().counterValue("mshrFull"), 1u);
+    EXPECT_FALSE(pc.hasMshr(0x90000));
+    // A second access to an outstanding line coalesces.
+    pc.access(store(0x40000 + 8, 2, 1001), now);
+    EXPECT_EQ(pc.mshrCount(), n);
+    EXPECT_EQ(pc.stats().counterValue("mshrCoalesced"), 1u);
+
+    std::set<Addr> seen;
+    pc.forEachMshr([&](Addr line, const Mshr &m) {
+        EXPECT_EQ(m.line, line);
+        seen.insert(line);
+    });
+    EXPECT_EQ(seen, lines);
+
+    // Drain part way: some MSHRs have freed, the parked miss took one.
+    bool sawPartial = false;
+    for (int i = 0; i < 3000 && pc.mshrCount() > 0; i++) {
+        run(1);
+        const std::size_t c = pc.mshrCount();
+        if (c > 0 && c < n) {
+            sawPartial = true;
+            std::size_t walked = 0;
+            pc.forEachMshr([&](Addr line, const Mshr &) {
+                EXPECT_TRUE(pc.hasMshr(line));
+                walked++;
+            });
+            EXPECT_EQ(walked, c);
+        }
+    }
+    EXPECT_TRUE(sawPartial);
+    run(2000);
+    EXPECT_EQ(pc.mshrCount(), 0u);
+    EXPECT_EQ(client0.done.size(), n + 2);
+    EXPECT_EQ(mem->functional().read64(0x90000), 1u);
+    EXPECT_TRUE(mem->idle());
+}
+
+TEST_F(PrivateCacheTest, WritebackBufferTracksEachPutMUntilAcked)
+{
+    std::vector<Addr> lines;
+    for (unsigned i = 0; i < 6; i++)
+        lines.push_back(0x80000 + static_cast<Addr>(i) * 3 * lineBytes);
+    for (unsigned i = 0; i < lines.size(); i++)
+        mem->cache(0).access(store(lines[i], i, i), now);
+    run(1500);
+    PrivateCache &pc = mem->cache(0);
+    for (Addr l : lines)
+        ASSERT_TRUE(pc.forceEvict(l, now));
+    std::vector<Addr> seen;
+    pc.forEachEvicting([&](Addr line, Cycle since) {
+        EXPECT_EQ(since, now);
+        seen.push_back(line);
+    });
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, lines);
+    for (Addr l : lines)
+        EXPECT_TRUE(pc.isEvicting(l));
+    EXPECT_FALSE(pc.isEvicting(0x80000 + lineBytes));
+
+    run(1500);
+    for (Addr l : lines)
+        EXPECT_FALSE(pc.isEvicting(l));
+    std::size_t left = 0;
+    pc.forEachEvicting([&](Addr, Cycle) { left++; });
+    EXPECT_EQ(left, 0u);
+    EXPECT_TRUE(mem->idle());
+}
+
+TEST_F(PrivateCacheTest, EqualCycleResultsCompleteInIssueOrder)
+{
+    mem->cache(0).access(load(0x10000, 1), now);
+    run(600);
+    client0.done.clear();
+    // Eight L1 hits issued on one cycle fall due on one cycle.
+    for (std::uint64_t t = 10; t < 18; t++)
+        mem->cache(0).access(load(0x10000 + (t % 8) * 8, t), now);
+    run(20);
+    ASSERT_EQ(client0.done.size(), 8u);
+    for (std::size_t i = 0; i < 8; i++) {
+        EXPECT_EQ(client0.done[i].token, 10 + i);
+        EXPECT_EQ(client0.done[i].doneCycle, client0.done[0].doneCycle);
+    }
+}
+
+TEST(LineSlots, EraseFromTheMiddleMovesNothing)
+{
+    LineSlots<Mshr> t(8);
+    std::vector<const Mshr *> at;
+    for (Addr i = 0; i < 8; i++) {
+        Mshr m;
+        m.line = i * lineBytes;
+        at.push_back(&t.insert(i * lineBytes, m));
+    }
+    EXPECT_EQ(t.size(), 8u);
+    t.erase(3 * lineBytes);
+    EXPECT_FALSE(t.contains(3 * lineBytes));
+    EXPECT_EQ(t.find(3 * lineBytes), nullptr);
+    EXPECT_EQ(t.size(), 7u);
+    for (Addr i = 0; i < 8; i++) {
+        if (i != 3) {
+            EXPECT_EQ(t.find(i * lineBytes), at[i]);
+        }
+    }
+    // A new line takes the freed slot; nothing else moves.
+    EXPECT_EQ(&t.insert(100 * lineBytes, Mshr{}), at[3]);
+    for (Addr i = 0; i < 8; i++) {
+        if (i != 3) {
+            EXPECT_EQ(t.find(i * lineBytes), at[i]);
+        }
+    }
+    std::vector<Addr> slotOrder;
+    t.forEach([&](Addr line, const Mshr &) { slotOrder.push_back(line); });
+    EXPECT_EQ(slotOrder, (std::vector<Addr>{0, 64, 128, 6400, 256, 320,
+                                            384, 448}));
+    std::vector<Addr> sorted;
+    for (const auto &[line, m] : t.sorted()) {
+        EXPECT_EQ(m, t.find(line));
+        sorted.push_back(line);
+    }
+    EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+    EXPECT_EQ(sorted.size(), 8u);
+
+    // Overwriting keeps the slot; erasing the tail then refilling does
+    // not reallocate.
+    t.insert(0, Mshr{});
+    EXPECT_EQ(t.find(0), at[0]);
+    t.erase(7 * lineBytes);
+    t.erase(6 * lineBytes);
+    EXPECT_EQ(t.size(), 6u);
+    EXPECT_EQ(&t.insert(200 * lineBytes, Mshr{}), at[6]);
+    t.clear();
+    EXPECT_TRUE(t.empty());
+    EXPECT_FALSE(t.contains(0));
+}
+
+TEST(EventHeap, EqualCyclesPopFirstInFirstOut)
+{
+    EventHeap<int> h;
+    std::vector<std::pair<Cycle, int>> pushed;
+    for (int i = 0; i < 60; i++) {
+        const Cycle c = 3 + static_cast<Cycle>((i * 7) % 4);
+        h.push(c, i);
+        pushed.emplace_back(c, i);
+    }
+    std::stable_sort(pushed.begin(), pushed.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<std::pair<Cycle, int>> walked;
+    h.forEachInOrder([&](Cycle c, int v) { walked.emplace_back(c, v); });
+    EXPECT_EQ(walked, pushed);
+
+    // Pop half, push more on an already-populated cycle: they queue
+    // behind the events already due then.
+    std::vector<std::pair<Cycle, int>> popped;
+    for (int i = 0; i < 30; i++) {
+        const Cycle c = h.topCycle();
+        popped.emplace_back(c, h.pop());
+    }
+    for (int i = 100; i < 105; i++)
+        h.push(6, i);
+    while (!h.empty()) {
+        const Cycle c = h.topCycle();
+        popped.emplace_back(c, h.pop());
+    }
+    std::vector<std::pair<Cycle, int>> want = pushed;
+    for (int i = 100; i < 105; i++)
+        want.emplace_back(6, i);
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(popped, want);
 }

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "mem/memsystem.hh"
 #include "sim/experiment.hh"
 #include "sim/profiles.hh"
 #include "sim/snapshot.hh"
@@ -72,6 +73,50 @@ coreDiagOf(System &sys)
     return out;
 }
 
+/** The first of the memory side's timed tables that is empty in every
+ *  cache / bank ("mshr", "evicting", "dueResults", "wake"), or "" when
+ *  all four hold something. */
+std::string
+idleMemTable(System &sys)
+{
+    std::size_t mshrs = 0, evicting = 0;
+    for (CoreId c = 0; c < sys.numCores(); c++) {
+        PrivateCache &pc = sys.mem().cache(c);
+        mshrs += pc.mshrCount();
+        pc.forEachEvicting([&](Addr, Cycle) { evicting++; });
+    }
+    if (mshrs == 0)
+        return "mshr";
+    if (evicting == 0)
+        return "evicting";
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *mem = open_memstream(&buf, &len);
+    EXPECT_NE(mem, nullptr);
+    for (CoreId c = 0; c < sys.numCores(); c++)
+        sys.mem().cache(c).dumpDiag(mem, sys.now());
+    for (unsigned b = 0; b < sys.mem().numBanks(); b++)
+        sys.mem().directory(b).dumpDiag(mem, sys.now());
+    std::fclose(mem);
+    const std::string diag(buf, len);
+    std::free(buf);
+    // Counts appear as "key":N; any non-zero N marks the table in use.
+    auto anyNonZero = [&](const std::string &key) {
+        const std::string tag = "\"" + key + "\":";
+        for (std::size_t at = diag.find(tag); at != std::string::npos;
+             at = diag.find(tag, at + 1)) {
+            if (diag[at + tag.size()] != '0')
+                return true;
+        }
+        return false;
+    };
+    if (!anyNonZero("dueResults"))
+        return "dueResults";
+    if (!anyNonZero("wake"))
+        return "wake";
+    return "";
+}
+
 /** Run the SnapshotError-throwing @p fn and return its message. */
 template <typename Fn>
 std::string
@@ -117,6 +162,10 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
         /** Save only once some op sleeps on each of these wake lists, so
          *  restore must rebuild them all. */
         std::vector<std::string> parkedOn;
+        /** Save only once the memory side's tables are all in use too:
+         *  an MSHR, a writeback, a directory wake and a due result. */
+        bool memoryBusy = false;
+        std::uint64_t quota = 200, warm = 50;
     };
     const Case cases[] = {
         {"cq", eagerConfig(), {}},
@@ -128,9 +177,14 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
         {"counter", lazyConfig(), {"retry", "lqHead", "sbDrain", "timer"}},
         {"counter", eagerConfig(), {"storeWrite", "timer"}},
         {"pc", fencedConfig(), {"barrier", "lqHead", "sbDrain"}},
+        // Miss-heavy: mid-flight misses, writebacks and LLC fetches.
+        // Dirty evictions start once the private working set overflows
+        // the L2, ~300 iterations in.
+        {"canneal", eagerConfig(), {}, true, 400, 300},
+        {"canneal", lazyConfig(), {}, true, 400, 300},
     };
     const unsigned cores = 4;
-    const std::uint64_t seed = 3, quota = 200, warm = 50;
+    const std::uint64_t seed = 3;
 
     for (const char *ff : {"0", "1"}) {
         ScopedEnv env("ROWSIM_FF", ff);
@@ -140,21 +194,22 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
 
             // Uninterrupted reference run.
             auto cold = makeSystem(c.workload, c.cfg, cores, seed);
-            const Cycle cold_cycles = cold->run(quota);
+            const Cycle cold_cycles = cold->run(c.quota);
             const std::string cold_stats = statsJsonOf(*cold);
             const std::string cold_digest = cold->stateDigest();
 
             // Warm up, serialize, restore into a fresh System, finish.
             auto warm_sys = makeSystem(c.workload, c.cfg, cores, seed);
-            warm_sys->runWarmup(quota, warm);
+            warm_sys->runWarmup(c.quota, c.warm);
             auto missingList = [&]() -> std::string {
-                const std::string diag = coreDiagOf(*warm_sys);
+                const std::string diag =
+                    c.parkedOn.empty() ? "" : coreDiagOf(*warm_sys);
                 for (const std::string &w : c.parkedOn) {
                     if (diag.find("\"wake\":\"" + w + "\"") ==
                         std::string::npos)
                         return w;
                 }
-                return "";
+                return c.memoryBusy ? idleMemTable(*warm_sys) : "";
             };
             for (Cycle i = 0; i < 100000 && !missingList().empty(); i++)
                 warm_sys->runCycles(1);
@@ -170,7 +225,7 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
             EXPECT_EQ(resumed->stateDigest(), warm_digest)
                 << "restore did not reproduce the saved state";
 
-            EXPECT_EQ(resumed->run(quota), cold_cycles);
+            EXPECT_EQ(resumed->run(c.quota), cold_cycles);
             EXPECT_EQ(statsJsonOf(*resumed), cold_stats)
                 << "stats tree diverged after restore";
             EXPECT_EQ(resumed->stateDigest(), cold_digest);

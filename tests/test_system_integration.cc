@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "common/trace.hh"
 #include "sim/checker.hh"
 #include "sim/experiment.hh"
 #include "sim/profile.hh"
@@ -186,4 +187,17 @@ TEST(SystemIntegration, ObservabilityGatesBelongToEachSystem)
     EXPECT_EQ(second->spans(), nullptr);
     EXPECT_EQ(second->profiler(), nullptr);
     EXPECT_EQ(second->checker().mask(), 0u);
+
+    // The trace gate too: a System that asks for no tracing must not
+    // inherit the categories of the tracing System built before it.
+    {
+        SystemParams sp = makeParams(eagerConfig(), 8, 1);
+        sp.traceCategories = "atomic";
+        System tracing(sp, makeStreams(profileFor("pc"), 8, 1));
+        EXPECT_TRUE(Trace::enabled(TraceCategory::Atomic));
+    }
+    System plain(makeParams(eagerConfig(), 8, 1),
+                 makeStreams(profileFor("pc"), 8, 1));
+    EXPECT_FALSE(Trace::enabled(TraceCategory::Atomic));
+    EXPECT_FALSE(Trace::anyEnabled());
 }
