@@ -100,6 +100,7 @@ StatGroup::restore(Deser &d)
             "stat group mismatch: image has '%s', expected '%s'",
             name.c_str(), name_.c_str()));
     }
+    epoch_++;
     counters_.clear();
     const std::uint64_t nCounters = d.u64();
     for (std::uint64_t i = 0; i < nCounters; i++) {
@@ -212,6 +213,28 @@ StatGroup::histogram(const std::string &name, double lo, double hi,
     if (it == histograms_.end())
         it = histograms_.emplace(name, Histogram(lo, hi, buckets)).first;
     return it->second;
+}
+
+template <>
+Counter &
+StatRef<Counter>::resolve()
+{
+    return group_->counter(name_);
+}
+
+template <>
+Average &
+StatRef<Average>::resolve()
+{
+    return group_->average(name_);
+}
+
+template <>
+Histogram &
+StatRef<Histogram>::resolve()
+{
+    const auto &h = static_cast<const HistogramRef &>(*this);
+    return group_->histogram(name_, h.lo_, h.hi_, h.buckets_);
 }
 
 double

@@ -298,9 +298,13 @@ class StatGroup
     void save(Ser &s) const;
     /** Replace counters/averages/histograms with the saved set (lazy
      *  stat creation is monotonic, so continuing a restored run yields
-     *  the same final name set as an uninterrupted one). Throws
-     *  SnapshotError if the group name differs. */
+     *  the same final name set as an uninterrupted one) and bump the
+     *  epoch. Throws SnapshotError if the group name differs. */
     void restore(Deser &d);
+
+    /** Storage generation: restore() replaces every statistic, so a
+     *  handle bound under an older epoch must re-resolve. */
+    std::uint64_t epoch() const { return epoch_; }
 
     const std::string &name() const { return name_; }
     const std::map<std::string, Counter> &counters() const
@@ -326,6 +330,98 @@ class StatGroup
     std::map<std::string, Average> averages_;
     std::map<std::string, Formula> formulas_;
     std::map<std::string, Histogram> histograms_;
+    std::uint64_t epoch_ = 0;
+};
+
+/**
+ * A statistic handle pre-bound to (group, name): a hot path bumps it
+ * with one epoch compare plus the update, instead of building a string
+ * key and searching the group's map on every event.
+ *
+ * The pointer resolves on the first update, so a name exists in the
+ * group only once it is first touched, exactly as with by-name updates:
+ * the saved name set, and every digest over it, is unchanged. When the
+ * group's epoch moves (StatGroup::restore replaced the storage), the
+ * next update re-resolves. Handles are not copyable, so a copied
+ * component cannot keep bumping the original's group; moving one keeps
+ * its binding.
+ */
+template <typename T>
+class StatRef
+{
+  public:
+    StatRef(const StatRef &) = delete;
+    StatRef &operator=(const StatRef &) = delete;
+    StatRef(StatRef &&) = default;
+
+    /** The statistic, created in the group on first use. */
+    T &
+    get()
+    {
+        if (epoch_ != group_->epoch()) [[unlikely]] {
+            stat_ = &resolve();
+            epoch_ = group_->epoch();
+        }
+        return *stat_;
+    }
+
+  protected:
+    StatRef(StatGroup &group, std::string name)
+        : group_(&group), name_(std::move(name))
+    {}
+
+    StatGroup *group_;
+    std::string name_;
+
+  private:
+    /** Get-or-create the named statistic (cold path). */
+    T &resolve();
+
+    T *stat_ = nullptr;
+    std::uint64_t epoch_ = ~std::uint64_t{0}; ///< never a group epoch
+};
+
+template <> Counter &StatRef<Counter>::resolve();
+template <> Average &StatRef<Average>::resolve();
+template <> Histogram &StatRef<Histogram>::resolve();
+
+class CounterRef : public StatRef<Counter>
+{
+  public:
+    CounterRef(StatGroup &group, std::string name)
+        : StatRef(group, std::move(name))
+    {}
+
+    void operator++(int) { get()++; }
+    CounterRef &operator+=(std::uint64_t v) { get() += v; return *this; }
+};
+
+class AverageRef : public StatRef<Average>
+{
+  public:
+    AverageRef(StatGroup &group, std::string name)
+        : StatRef(group, std::move(name))
+    {}
+
+    void sample(double v) { get().sample(v); }
+};
+
+class HistogramRef : public StatRef<Histogram>
+{
+  public:
+    /** Geometry as for StatGroup::histogram, fixed on first creation. */
+    HistogramRef(StatGroup &group, std::string name, double lo, double hi,
+                 unsigned buckets)
+        : StatRef(group, std::move(name)), lo_(lo), hi_(hi),
+          buckets_(buckets)
+    {}
+
+    void sample(double v) { get().sample(v); }
+
+  private:
+    friend class StatRef<Histogram>;
+    double lo_, hi_;
+    unsigned buckets_;
 };
 
 } // namespace rowsim

@@ -136,6 +136,17 @@ class Trace
      * Env: ROWSIM_TRACE_RING=<events>.
      */
     void enableRing(std::size_t capacity);
+    /** Set this thread's whole gate: sink categories @p sink_mask and a
+     *  ring of @p ring events. The ring is re-created only when its
+     *  capacity changes, so re-applying an unchanged gate keeps the
+     *  retained events. */
+    void
+    applyGate(std::uint32_t sink_mask, std::size_t ring)
+    {
+        if (ring != ringCap_)
+            enableRing(ring);
+        configure(sink_mask);
+    }
     std::size_t ringCapacity() const { return ringCap_; }
     /** Oldest-first snapshot of the retained events. */
     std::vector<std::string> ringSnapshot() const;

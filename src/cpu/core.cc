@@ -42,7 +42,8 @@ atomicOpName(AtomicOp a)
 Core::Core(CoreId id, const CoreParams &p, PrivateCache *c,
            FunctionalMemory *fm, InstStream *s)
     : coreId(id), params(p), cache(c), fmem(fm), stream(s),
-      robSlots(p.robEntries), lq(p.lqEntries), sq(p.sbEntries),
+      robSlots(p.robEntries), robIssued_(p.robEntries, 0),
+      robCompleted_(p.robEntries, 0), lq(p.lqEntries), sq(p.sbEntries),
       aq(p.aqEntries), storeSet(), rowPredictor(p.row),
       stats_(strprintf("core%u", id))
 {
@@ -162,7 +163,7 @@ Core::accessDone(const MemResult &r)
                       "store write completion mismatch (sq idx %u)", idx);
         s.written = true;
         s.writeInFlight = false;
-        stats_.counter("storeWrites")++;
+        storeWrites_++;
         storeWritten(s.seq, r.doneCycle);
         return;
     }
@@ -177,8 +178,7 @@ Core::accessDone(const MemResult &r)
 
     ROWSIM_ASSERT(e.op.cls == OpClass::Load, "unexpected accessDone class");
     e.result = r.value;
-    stats_.counter(r.source == FillSource::L1Hit ? "loadL1Hits"
-                                                 : "loadL1Misses")++;
+    (r.source == FillSource::L1Hit ? loadL1Hits_ : loadL1Misses_)++;
     completeOp(seq, r.doneCycle);
 }
 
@@ -219,7 +219,7 @@ Core::acquireLock(RobEntry &e, FillSource source, Cycle now)
             static_cast<std::uint16_t>((1u << params.row.timestampBits) - 1);
         const std::uint16_t lat =
             static_cast<std::uint16_t>((now - a.issuedCycle14) & mask);
-        stats_.average("atomicRemoteFillLatency").sample(lat);
+        atomicRemoteFillLatency_.sample(lat);
         if (lat > params.row.latencyThreshold)
             a.contended = true;
     }
@@ -274,7 +274,7 @@ Core::pokeWaitingLocks(Cycle now)
             m.needExclusive = true;
             m.isAtomic = true;
             m.spanId = a.spanId;
-            stats_.counter("lockWaitRefetches")++;
+            lockWaitRefetches_++;
             cache->access(m, now);
         }
     });
@@ -307,7 +307,7 @@ Core::atomicLineReady(std::uint64_t tok, Addr line, FillSource source,
         e.astate = AState::WaitLock;
         if (spans_ && a.spanId)
             spans_->transition(a.spanId, SpanSeg::UnblockWait, now);
-        stats_.counter("lockWaits")++;
+        lockWaits_++;
         return;
     }
 
@@ -333,8 +333,8 @@ Core::tryForceUnlock(Addr line, Cycle now)
     a.lockCycle = invalidCycle;
 
     e.replayGen++; // invalidate any in-flight completion events
-    e.completed = false;
-    e.issued = false;
+    setCompleted(e, false);
+    setIssued(e, false);
     e.forwardedAtomic = false;
     e.lazySelected = true; // replay lazily: the line is contended
     if (spans_ && a.spanId)
@@ -347,7 +347,7 @@ Core::tryForceUnlock(Addr line, Cycle now)
     l.completed = false;
     park(e, WakeList::Retry);
     parkTail_.push_back(seq);
-    stats_.counter("forcedUnlocks")++;
+    forcedUnlocks_++;
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u forcedUnlock seq=%llu line=%#llx (replaying lazy)",
                  coreId, static_cast<unsigned long long>(seq),
@@ -369,9 +369,9 @@ void
 Core::completeOp(SeqNum seq, Cycle now)
 {
     RobEntry &e = rob(seq);
-    if (e.completed)
+    if (completed(e))
         return;
-    e.completed = true;
+    setCompleted(e, true);
 
     if (e.lqIdx >= 0) {
         LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
@@ -464,20 +464,19 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
     const bool contended = a.contended;
 
     // Statistics: Fig. 5 / Fig. 6 / Fig. 12 inputs.
-    stats_.counter("atomicsUnlocked")++;
+    atomicsUnlocked_++;
     if (contended)
-        stats_.counter("atomicsDetectedContended")++;
+        atomicsDetectedContended_++;
     if (a.oracleContended)
-        stats_.counter("atomicsOracleContended")++;
+        atomicsOracleContended_++;
     if (a.issueCycle != invalidCycle && a.lockCycle != invalidCycle) {
-        stats_.average("atomicDispatchToIssue")
-            .sample(static_cast<double>(a.issueCycle - a.dispatchCycle));
-        stats_.average("atomicIssueToLock")
-            .sample(static_cast<double>(a.lockCycle - a.issueCycle));
-        stats_.average("atomicLockToUnlock")
-            .sample(static_cast<double>(now - a.lockCycle));
-        stats_.average("atomicDispatchToUnlock")
-            .sample(static_cast<double>(now - a.dispatchCycle));
+        atomicDispatchToIssue_.sample(
+            static_cast<double>(a.issueCycle - a.dispatchCycle));
+        atomicIssueToLock_.sample(
+            static_cast<double>(a.lockCycle - a.issueCycle));
+        atomicLockToUnlock_.sample(static_cast<double>(now - a.lockCycle));
+        atomicDispatchToUnlock_.sample(
+            static_cast<double>(now - a.dispatchCycle));
         // Chrome trace: the lock hold interval (sequential per core) and
         // the atomic's whole AQ residency (overlapping -> async span).
         ROWSIM_TRACE_COMPLETE(
@@ -516,12 +515,9 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
             const std::uint64_t i2l = a.lockCycle - a.issueCycle;
             const std::uint64_t l2u = now - a.lockCycle;
             prof_->pcSample(a.pc, d2i, i2l, l2u);
-            stats_.histogram("atomicDispatchToIssueHist", 0, 4096, 128)
-                .sample(static_cast<double>(d2i));
-            stats_.histogram("atomicIssueToLockHist", 0, 4096, 128)
-                .sample(static_cast<double>(i2l));
-            stats_.histogram("atomicLockToUnlockHist", 0, 4096, 128)
-                .sample(static_cast<double>(l2u));
+            atomicDispatchToIssueHist_.sample(static_cast<double>(d2i));
+            atomicIssueToLockHist_.sample(static_cast<double>(i2l));
+            atomicLockToUnlockHist_.sample(static_cast<double>(l2u));
         }
         if (prof_->on(ProfCategory::Row) &&
             params.atomicPolicy == AtomicPolicy::RoW) {
@@ -562,7 +558,7 @@ Core::commitStage(Cycle now)
         if (!inFlight(seq))
             break;
         RobEntry &e = rob(seq);
-        if (!e.completed)
+        if (!completed(e))
             break;
 
         if (e.op.cls == OpClass::AtomicRMW) {
@@ -605,7 +601,7 @@ Core::classifyCommitStall() const
 
     if (e.op.cls == OpClass::AtomicRMW && e.aqIdx >= 0) {
         const AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
-        if (e.completed) {
+        if (completed(e)) {
             // Free Atomics commit rule: lock held AND SB drained. A
             // completed-but-blocked head is waiting for the SB (or, for
             // a forwarded atomic, for its store's write to engage the
@@ -635,8 +631,8 @@ Core::classifyCommitStall() const
         }
     }
 
-    if (!e.completed) {
-        if (e.op.cls == OpClass::Load && e.issued &&
+    if (!completed(e)) {
+        if (e.op.cls == OpClass::Load && issued(e) &&
             cache->hasMshr(lineAlign(e.op.addr)))
             return CpiBucket::CoherenceMiss;
         return robCount() >= params.robEntries ? CpiBucket::RobFull
@@ -696,7 +692,7 @@ Core::storeWritten(SeqNum store_seq, Cycle now)
                     spans_->transition(a.spanId, SpanSeg::UnblockWait,
                                        now);
             }
-            stats_.counter("lockWaits")++;
+            lockWaits_++;
         }
     }
 }
@@ -765,20 +761,25 @@ void
 Core::sampleIndependentInsts(const RobEntry &e)
 {
     // Fig. 4: how much independent work surrounds the atomic at issue?
+    // Both walks read only the dense per-slot bytes, stepping the slot
+    // index with a wrap.
+    const std::size_t n = robSlots.size();
     std::uint64_t older_unexecuted = 0;
+    std::size_t i = static_cast<std::size_t>((commitSeq + 1) % n);
     for (SeqNum s = commitSeq + 1; s < e.seq; s++) {
-        if (!rob(s).completed)
-            older_unexecuted++;
+        older_unexecuted += !robCompleted_[i];
+        if (++i == n)
+            i = 0;
     }
     std::uint64_t younger_started = 0;
+    i = slotOf(e);
     for (SeqNum s = e.seq + 1; s < nextSeq; s++) {
-        if (rob(s).issued)
-            younger_started++;
+        if (++i == n)
+            i = 0;
+        younger_started += robIssued_[i];
     }
-    stats_.average("olderUnexecutedAtIssue")
-        .sample(static_cast<double>(older_unexecuted));
-    stats_.average("youngerStartedAtIssue")
-        .sample(static_cast<double>(younger_started));
+    olderUnexecutedAtIssue_.sample(static_cast<double>(older_unexecuted));
+    youngerStartedAtIssue_.sample(static_cast<double>(younger_started));
 }
 
 bool
@@ -830,7 +831,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         stu.value = e.atomicNewValue;
         stu.valueReady = true;
         e.astate = AState::ExecDoneFwd;
-        e.issued = true;
+        setIssued(e, true);
         if (spans_ && a.spanId) {
             // Value consumed now; the remaining wait until the
             // forwarding store writes is an SB-drain dependency.
@@ -844,7 +845,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         l.fwdFrom = src->seq;
         scheduleCompletion(e.seq, now + 2);
         iqOccupancy--;
-        stats_.counter("atomicsForwarded")++;
+        atomicsForwarded_++;
         ROWSIM_TRACE(TraceCategory::Atomic, now,
                      "core%u forwarded seq=%llu line=%#llx from "
                      "store seq=%llu",
@@ -857,8 +858,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         a.issueCycle = now;
         sampleIndependentInsts(e);
     }
-    stats_.counter(e.lazySelected ? "atomicsIssuedLazy"
-                                  : "atomicsIssuedEager")++;
+    (e.lazySelected ? atomicsIssuedLazy_ : atomicsIssuedEager_)++;
     ROWSIM_TRACE(TraceCategory::Atomic, now,
                  "core%u issue seq=%llu line=%#llx mode=%s",
                  coreId, static_cast<unsigned long long>(e.seq),
@@ -869,7 +869,7 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         now & ((1u << params.row.timestampBits) - 1));
     a.timestampValid = true;
     e.astate = AState::MemIssued;
-    e.issued = true;
+    setIssued(e, true);
     LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
     l.issued = true;
     l.addr = a.addr;
@@ -915,14 +915,14 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
             SqEntry &stu = sq.entry(static_cast<unsigned>(e.sqIdx));
             stu.addressReady = true;
             stu.addr = a.addr;
-            stats_.counter("onlyCalcAddrIssues")++;
+            onlyCalcAddrIssues_++;
             // Atomic locality (§IV-E): a matching older store in the SB
             // promotes the atomic to eager execution.
             if (params.forwardToAtomics && params.row.localityPromotion &&
                 sq.olderSameLineUnwritten(e.seq, a.line())) {
                 a.onlyCalcAddr = false;
                 e.lazySelected = false;
-                stats_.counter("atomicsPromotedEager")++;
+                atomicsPromotedEager_++;
                 return atomicExecute(e, now);
             }
         }
@@ -987,14 +987,14 @@ Core::tryIssueLoad(RobEntry &e, Cycle now)
         if (dep != 0 && dep < e.seq && inFlight(dep)) {
             const RobEntry &st = rob(dep);
             if (st.op.cls == OpClass::Store && st.seq == dep &&
-                !st.issued) {
-                stats_.counter("loadsPredictedDependent")++;
+                !issued(st)) {
+                loadsPredictedDependent_++;
                 return false; // predicted dependent: wait
             }
         }
         // Speculate past the unresolved store(s); the violation scan at
         // store resolution replays us if the speculation was wrong.
-        stats_.counter("loadsSpeculated")++;
+        loadsSpeculated_++;
     }
 
     if (src && !src->written) {
@@ -1003,9 +1003,9 @@ Core::tryIssueLoad(RobEntry &e, Cycle now)
             l.issued = true;
             l.addr = e.op.addr;
             l.fwdFrom = src->seq;
-            e.issued = true;
+            setIssued(e, true);
             scheduleCompletion(e.seq, now + 2);
-            stats_.counter("loadsForwarded")++;
+            loadsForwarded_++;
             iqOccupancy--;
             return true;
         }
@@ -1015,7 +1015,7 @@ Core::tryIssueLoad(RobEntry &e, Cycle now)
     l.issued = true;
     l.addr = e.op.addr;
     l.fwdFrom = 0;
-    e.issued = true;
+    setIssued(e, true);
     MemAccess m;
     m.addr = e.op.addr;
     m.token = token(e);
@@ -1028,10 +1028,10 @@ void
 Core::replayLoad(RobEntry &load, Addr store_pc, Cycle now)
 {
     storeSet.violation(load.op.pc, store_pc);
-    stats_.counter("loadReplays")++;
+    loadReplays_++;
     load.replayGen++;
-    load.completed = false;
-    load.issued = false;
+    setCompleted(load, false);
+    setIssued(load, false);
     LqEntry &l = lq.entry(static_cast<unsigned>(load.lqIdx));
     l.issued = false;
     l.completed = false;
@@ -1051,7 +1051,7 @@ Core::tryIssueStore(RobEntry &e, Cycle now)
     s.addr = e.op.addr;
     s.value = e.op.value;
     s.valueReady = true;
-    e.issued = true;
+    setIssued(e, true);
     storeSet.storeExecuted(e.ssSet, e.seq);
 
     // Memory-order violation scan: younger loads to the same word that
@@ -1083,7 +1083,7 @@ Core::tryIssueFence(RobEntry &e, Cycle now)
     sq.forEach([&](SqEntry &s) { ready &= s.seq >= e.seq || s.written; });
     if (!ready)
         return false;
-    e.issued = true;
+    setIssued(e, true);
     scheduleCompletion(e.seq, now + 1);
     iqOccupancy--;
     return true;
@@ -1093,14 +1093,14 @@ bool
 Core::tryIssue(SeqNum seq, Cycle now)
 {
     RobEntry &e = rob(seq);
-    ROWSIM_ASSERT(e.busy && !e.issued, "tryIssue on bad entry");
+    ROWSIM_ASSERT(e.busy && !issued(e), "tryIssue on bad entry");
 
     switch (e.op.cls) {
       case OpClass::IntAlu:
       case OpClass::FpAlu:
       case OpClass::Branch:
       case OpClass::Nop:
-        e.issued = true;
+        setIssued(e, true);
         scheduleCompletion(seq, now + std::max<unsigned>(1,
                                                          e.op.execLatency));
         iqOccupancy--;
@@ -1229,7 +1229,7 @@ Core::issueStage(Cycle now)
     while (slots > 0 && !readyQueue.empty()) {
         SeqNum seq = readyQueue.top();
         readyQueue.pop();
-        if (!inFlight(seq) || rob(seq).issued || !rob(seq).busy)
+        if (!inFlight(seq) || issued(rob(seq)) || !rob(seq).busy)
             continue;
         if (tryIssue(seq, now)) {
             slots--;
@@ -1281,6 +1281,8 @@ Core::dispatchStage(Cycle now)
         RobEntry &e = rob(seq);
         ROWSIM_ASSERT(!e.busy, "ROB slot reuse while busy");
         e = RobEntry{};
+        setIssued(e, false);
+        setCompleted(e, false);
         e.op = op;
         e.seq = seq;
         e.busy = true;
@@ -1294,7 +1296,7 @@ Core::dispatchStage(Cycle now)
             if (pseq <= commitSeq)
                 continue;
             RobEntry &prod = rob(pseq);
-            if (prod.busy && !prod.completed) {
+            if (prod.busy && !completed(prod)) {
                 prod.dependents.push_back(seq);
                 e.depsPending++;
             }
@@ -1307,7 +1309,7 @@ Core::dispatchStage(Cycle now)
             // only meaningful at dispatch time.
             e.waitStoreSeq = storeSet.dependence(e.op.pc);
             if (e.waitStoreSeq != 0)
-                stats_.counter("loadsDispatchedWithDep")++;
+                loadsDispatchedWithDep_++;
             break;
           case OpClass::Store: {
             e.sqIdx = static_cast<int>(sq.allocate(seq, false));
@@ -1329,9 +1331,9 @@ Core::dispatchStage(Cycle now)
             }
             if (params.atomicPolicy == AtomicPolicy::Fenced)
                 memBarriers.insert(seq);
-            stats_.counter("atomicsDispatched")++;
+            atomicsDispatched_++;
             if (e.lazySelected)
-                stats_.counter("atomicsPredictedContended")++;
+                atomicsPredictedContended_++;
             ROWSIM_TRACE(TraceCategory::Atomic, now,
                          "core%u dispatch seq=%llu pc=%#llx policy=%s",
                          coreId, static_cast<unsigned long long>(seq),
@@ -1353,7 +1355,7 @@ Core::dispatchStage(Cycle now)
                                                    e.op.takenBranch);
             if (!correct) {
                 fetchBlockedBy = seq;
-                stats_.counter("branchMispredicts")++;
+                branchMispredicts_++;
             }
             break;
           }
@@ -1362,7 +1364,7 @@ Core::dispatchStage(Cycle now)
         }
 
         iqOccupancy++;
-        stats_.counter("dispatched")++;
+        dispatched_++;
         if (e.depsPending == 0)
             pushReady(seq, now);
 
@@ -1420,7 +1422,7 @@ Core::nextEventCycle(Cycle now) const
     const SeqNum head_seq = commitSeq + 1;
     if (inFlight(head_seq)) {
         const RobEntry &e = rob(head_seq);
-        if (e.busy && e.seq == head_seq && e.completed) {
+        if (e.busy && e.seq == head_seq && completed(e)) {
             if (e.op.cls != OpClass::AtomicRMW)
                 return next_tick;
             // Free Atomics commit rule: both conditions change only via
@@ -1543,8 +1545,8 @@ Core::save(Ser &s) const
         saveOp(s, e.op);
         s.u64(e.seq);
         s.b(e.busy);
-        s.b(e.issued);
-        s.b(e.completed);
+        s.b(issued(e));
+        s.b(completed(e));
         s.b(e.wokeDependents);
         s.u8(e.depsPending);
         s.u16(e.replayGen);
@@ -1660,8 +1662,8 @@ Core::restore(Deser &d)
         restoreOp(d, e.op);
         e.seq = d.u64();
         e.busy = d.b();
-        e.issued = d.b();
-        e.completed = d.b();
+        setIssued(e, d.b());
+        setCompleted(e, d.b());
         e.wokeDependents = d.b();
         e.depsPending = d.u8();
         e.replayGen = d.u16();

@@ -183,8 +183,6 @@ class Core : public MemClient
         MicroOp op;
         SeqNum seq = 0;
         bool busy = false;
-        bool issued = false;
-        bool completed = false;
         bool wokeDependents = false;
         std::uint8_t depsPending = 0;
         std::uint16_t replayGen = 0;
@@ -226,6 +224,23 @@ class Core : public MemClient
     // --- helpers ---
     RobEntry &rob(SeqNum seq);
     const RobEntry &rob(SeqNum seq) const;
+    std::size_t
+    slotOf(const RobEntry &e) const
+    {
+        return static_cast<std::size_t>(&e - robSlots.data());
+    }
+    bool issued(const RobEntry &e) const { return robIssued_[slotOf(e)]; }
+    bool
+    completed(const RobEntry &e) const
+    {
+        return robCompleted_[slotOf(e)];
+    }
+    void setIssued(RobEntry &e, bool v) { robIssued_[slotOf(e)] = v; }
+    void
+    setCompleted(RobEntry &e, bool v)
+    {
+        robCompleted_[slotOf(e)] = v;
+    }
     bool inFlight(SeqNum seq) const;
     unsigned robCount() const;
     void pushReady(SeqNum seq, Cycle now);
@@ -289,6 +304,12 @@ class Core : public MemClient
     InstStream *stream;
 
     std::vector<RobEntry> robSlots;
+    /** Issued / completed flag of each ROB slot, one byte per slot
+     *  outside RobEntry: the Fig. 4 sample at every atomic issue scans
+     *  up to a ROB's worth of them, and would otherwise touch a whole
+     *  entry per step. */
+    std::vector<std::uint8_t> robIssued_;
+    std::vector<std::uint8_t> robCompleted_;
     LoadQueue lq;
     StoreQueue sq;
     AtomicQueue aq;
@@ -349,6 +370,45 @@ class Core : public MemClient
     std::uint32_t checkMask_ = 0;
 
     StatGroup stats_;
+    // Dispatch and issue.
+    CounterRef dispatched_{stats_, "dispatched"};
+    CounterRef branchMispredicts_{stats_, "branchMispredicts"};
+    CounterRef loadsDispatchedWithDep_{stats_, "loadsDispatchedWithDep"};
+    CounterRef loadsPredictedDependent_{stats_, "loadsPredictedDependent"};
+    CounterRef loadsSpeculated_{stats_, "loadsSpeculated"};
+    CounterRef loadsForwarded_{stats_, "loadsForwarded"};
+    CounterRef loadReplays_{stats_, "loadReplays"};
+    CounterRef loadL1Hits_{stats_, "loadL1Hits"};
+    CounterRef loadL1Misses_{stats_, "loadL1Misses"};
+    CounterRef storeWrites_{stats_, "storeWrites"};
+    // Atomics.
+    CounterRef atomicsDispatched_{stats_, "atomicsDispatched"};
+    CounterRef atomicsPredictedContended_{stats_, "atomicsPredictedContended"};
+    CounterRef atomicsIssuedLazy_{stats_, "atomicsIssuedLazy"};
+    CounterRef atomicsIssuedEager_{stats_, "atomicsIssuedEager"};
+    CounterRef atomicsForwarded_{stats_, "atomicsForwarded"};
+    CounterRef atomicsPromotedEager_{stats_, "atomicsPromotedEager"};
+    CounterRef onlyCalcAddrIssues_{stats_, "onlyCalcAddrIssues"};
+    CounterRef lockWaits_{stats_, "lockWaits"};
+    CounterRef lockWaitRefetches_{stats_, "lockWaitRefetches"};
+    CounterRef forcedUnlocks_{stats_, "forcedUnlocks"};
+    CounterRef atomicsUnlocked_{stats_, "atomicsUnlocked"};
+    CounterRef atomicsDetectedContended_{stats_, "atomicsDetectedContended"};
+    CounterRef atomicsOracleContended_{stats_, "atomicsOracleContended"};
+    AverageRef atomicRemoteFillLatency_{stats_, "atomicRemoteFillLatency"};
+    AverageRef atomicDispatchToIssue_{stats_, "atomicDispatchToIssue"};
+    AverageRef atomicIssueToLock_{stats_, "atomicIssueToLock"};
+    AverageRef atomicLockToUnlock_{stats_, "atomicLockToUnlock"};
+    AverageRef atomicDispatchToUnlock_{stats_, "atomicDispatchToUnlock"};
+    // Fig. 4 sample and the per-PC profile's latency distributions.
+    AverageRef olderUnexecutedAtIssue_{stats_, "olderUnexecutedAtIssue"};
+    AverageRef youngerStartedAtIssue_{stats_, "youngerStartedAtIssue"};
+    HistogramRef atomicDispatchToIssueHist_{
+        stats_, "atomicDispatchToIssueHist", 0, 4096, 128};
+    HistogramRef atomicIssueToLockHist_{stats_, "atomicIssueToLockHist", 0,
+                                        4096, 128};
+    HistogramRef atomicLockToUnlockHist_{stats_, "atomicLockToUnlockHist", 0,
+                                         4096, 128};
 };
 
 } // namespace rowsim

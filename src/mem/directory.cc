@@ -61,7 +61,7 @@ Directory::dataLatency(Addr line, Cycle now, bool &from_memory)
     // drop presence (data always reachable in functional memory).
     auto *way = llcArray.victim(line);
     llcArray.fill(way, line, CacheState::Shared, now);
-    stats_.counter("llcMisses")++;
+    llcMisses_++;
     return params.l3HitLatency + params.memoryLatency;
 }
 
@@ -92,7 +92,7 @@ Directory::processRequest(Entry &e, const Msg &msg, Cycle now,
 
     switch (msg.type) {
       case MsgType::GetS:
-        stats_.counter("getS")++;
+        getS_++;
         if (e.state == DirState::Invalid || e.state == DirState::Shared) {
             bool from_mem = false;
             Cycle lat = dataLatency(line, now, from_mem);
@@ -115,7 +115,7 @@ Directory::processRequest(Entry &e, const Msg &msg, Cycle now,
         } else { // Modified: forward to owner
             if (oracle)
                 oracle(line, req, e.owner, false, now);
-            stats_.counter("fwdGetS")++;
+            fwdGetS_++;
             sendToCore(MsgType::FwdGetS, line, e.owner, req, now, false,
                        false, hint, msg.spanId);
             e.nextState = DirState::Shared;
@@ -126,14 +126,14 @@ Directory::processRequest(Entry &e, const Msg &msg, Cycle now,
         break;
 
       case MsgType::GetX:
-        stats_.counter("getX")++;
+        getX_++;
         if (e.state == DirState::Modified) {
             ROWSIM_ASSERT(e.owner != req,
                           "GetX from current owner, line %#lx",
                           static_cast<unsigned long>(line));
             if (oracle)
                 oracle(line, req, e.owner, false, now);
-            stats_.counter("fwdGetX")++;
+            fwdGetX_++;
             // Exclusive ownership moving between private caches: the
             // ping-pong transfer the contention profile counts.
             if (prof_ && prof_->on(ProfCategory::Lines))
@@ -274,9 +274,8 @@ Directory::deliver(const Msg &msg, Cycle now)
             e.queued.push_back(msg);
             if (spans_ && msg.spanId)
                 spans_->dirQueued(msg.spanId, now);
-            stats_.counter("queuedRequests")++;
-            stats_.average("queueDepth").sample(
-                static_cast<double>(e.queued.size()));
+            queuedRequests_++;
+            queueDepth_.sample(static_cast<double>(e.queued.size()));
             if (prof_ && prof_->on(ProfCategory::Lines))
                 prof_->lineQueueDepth(msg.line, e.queued.size());
             ROWSIM_TRACE(TraceCategory::Directory, now,
@@ -299,11 +298,11 @@ Directory::deliver(const Msg &msg, Cycle now)
             e.state = DirState::Invalid;
             e.owner = invalidCore;
             e.sharers = 0;
-            stats_.counter("writebacks")++;
+            writebacks_++;
         } else {
             // Crossed with an in-flight transaction; ownership already
             // moved (or is moving). Ack without touching state.
-            stats_.counter("staleWritebacks")++;
+            staleWritebacks_++;
         }
         sendToCore(MsgType::WBAck, msg.line, evictor, evictor, now);
         break;
@@ -368,7 +367,7 @@ Directory::injectStall(Cycle until)
 {
     if (until > stalledUntil)
         stalledUntil = until;
-    stats_.counter("injectedStalls")++;
+    injectedStalls_++;
 }
 
 void

@@ -237,6 +237,16 @@ class Directory : public MsgHandler
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;
+    CounterRef getS_{stats_, "getS"};
+    CounterRef getX_{stats_, "getX"};
+    CounterRef fwdGetS_{stats_, "fwdGetS"};
+    CounterRef fwdGetX_{stats_, "fwdGetX"};
+    CounterRef llcMisses_{stats_, "llcMisses"};
+    CounterRef queuedRequests_{stats_, "queuedRequests"};
+    AverageRef queueDepth_{stats_, "queueDepth"};
+    CounterRef writebacks_{stats_, "writebacks"};
+    CounterRef staleWritebacks_{stats_, "staleWritebacks"};
+    CounterRef injectedStalls_{stats_, "injectedStalls"};
 };
 
 } // namespace rowsim

@@ -307,6 +307,23 @@ class PrivateCache : public MsgHandler
     SpanTracker *spans_ = nullptr;
 
     StatGroup stats_;
+    CounterRef prefetchRequests_{stats_, "prefetchRequests"};
+    CounterRef demandRequests_{stats_, "demandRequests"};
+    CounterRef accesses_{stats_, "accesses"};
+    CounterRef l1Hits_{stats_, "l1Hits"};
+    CounterRef l1Misses_{stats_, "l1Misses"};
+    AverageRef missLatency_{stats_, "missLatency"};
+    CounterRef remoteFills_{stats_, "remoteFills"};
+    CounterRef mshrCoalesced_{stats_, "mshrCoalesced"};
+    CounterRef mshrFull_{stats_, "mshrFull"};
+    CounterRef writebacks_{stats_, "writebacks"};
+    CounterRef invalidations_{stats_, "invalidations"};
+    CounterRef ownerForwards_{stats_, "ownerForwards"};
+    CounterRef lockStalledExternals_{stats_, "lockStalledExternals"};
+    AverageRef lockStallCycles_{stats_, "lockStallCycles"};
+    CounterRef stealAttempts_{stats_, "stealAttempts"};
+    CounterRef lockSteals_{stats_, "lockSteals"};
+    CounterRef forcedEvictions_{stats_, "forcedEvictions"};
 };
 
 } // namespace rowsim

@@ -49,8 +49,9 @@ Network::Network(unsigned num_cores, const NetParams &p)
     meshX = static_cast<unsigned>(std::ceil(std::sqrt(num_cores)));
     meshY = (num_cores + meshX - 1) / meshX;
 
-    latHist_.assign(static_cast<std::size_t>(MsgType::Unblock) + 1,
-                    nullptr);
+    for (unsigned t = 0; t <= static_cast<unsigned>(MsgType::Unblock); t++)
+        typeLatency_.emplace_back(
+            stats_, std::string("lat") + msgTypeName(MsgType(t)), 0, 128, 64);
 
     // Precompute the per-pair hop/latency tables and the point-to-point
     // ordering fences once; the hot send() path then indexes flat arrays
@@ -139,25 +140,11 @@ Network::send(Msg msg, Cycle now)
     inFlight.push_back({due, nextOrder++, msg});
     std::push_heap(inFlight.begin(), inFlight.end(),
                    std::greater<Pending>());
-    stats_.counter("messages")++;
-    stats_.average("hops").sample(pairHops[pair]);
+    messages_++;
+    hops_.sample(pairHops[pair]);
     ROWSIM_TRACE(TraceCategory::Network, now, "inject %s due=%llu",
                  msg.toString().c_str(),
                  static_cast<unsigned long long>(due));
-}
-
-Histogram &
-Network::typeLatencyHist(MsgType t)
-{
-    // Lazily created per type (deterministic: the message stream decides
-    // which types exist) and cached by index — the hot delivery loop
-    // must not pay a map lookup per message.
-    Histogram *&h = latHist_[static_cast<std::size_t>(t)];
-    if (!h) {
-        h = &stats_.histogram(std::string("lat") + msgTypeName(t), 0, 128,
-                              64);
-    }
-    return *h;
 }
 
 void
@@ -182,9 +169,10 @@ Network::tick(Cycle now)
                                     static_cast<unsigned long long>(
                                         p.msg.line),
                                     p.msg.src, p.msg.dst));
-        stats_.counter("delivered")++;
+        delivered_++;
         const Cycle lat = now >= p.msg.sent ? now - p.msg.sent : 0;
-        typeLatencyHist(p.msg.type).sample(static_cast<double>(lat));
+        typeLatency_[static_cast<std::size_t>(p.msg.type)].sample(
+            static_cast<double>(lat));
         if (spans_ && p.msg.spanId)
             spans_->netHop(p.msg.spanId, p.msg.sent, now);
         h->deliver(p.msg, now);
@@ -274,10 +262,6 @@ Network::restore(Deser &d)
     for (Cycle &c : lastDelivery)
         c = d.u64();
     nextOrder = d.u64();
-
-    // The stats pass replaces the StatGroup's histogram storage; drop
-    // the cached pointers so they re-resolve against the restored set.
-    std::fill(latHist_.begin(), latHist_.end(), nullptr);
 }
 
 } // namespace rowsim

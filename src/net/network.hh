@@ -130,14 +130,12 @@ class Network
     DelayHook delayHook;
     SpanTracker *spans_ = nullptr;
 
-    /** Per-message-type delivery-latency histograms, cached by MsgType
-     *  index. The pointers alias StatGroup storage, which restore()
-     *  replaces wholesale, so restore() re-zeroes this cache. */
-    std::vector<Histogram *> latHist_;
-
-    Histogram &typeLatencyHist(MsgType t);
-
     StatGroup stats_;
+    CounterRef messages_{stats_, "messages"};
+    CounterRef delivered_{stats_, "delivered"};
+    AverageRef hops_{stats_, "hops"};
+    /** Delivery latency per message type ("lat<Type>"), by MsgType. */
+    std::vector<HistogramRef> typeLatency_;
 };
 
 } // namespace rowsim

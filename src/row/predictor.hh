@@ -62,6 +62,9 @@ class ContentionPredictor
     std::vector<std::uint8_t> table;
 
     StatGroup stats_;
+    CounterRef updates_{stats_, "updates"};
+    CounterRef correct_{stats_, "correct"};
+    CounterRef contendedOutcomes_{stats_, "contendedOutcomes"};
 };
 
 } // namespace rowsim

@@ -47,7 +47,7 @@ FaultInjector::extraDelay(const Msg &msg, Cycle now)
     Cycle extra = 0;
     if (enabled(FaultCategory::NetDelay) && rng.below(10000) < rate_) {
         extra += 1 + rng.below(16);
-        stats_.counter("delayedMessages")++;
+        delayedMessages_++;
     }
     // Unblocks get an aggressive extra-delay multiplier: the window
     // between a transaction finishing at the caches and the directory
@@ -55,7 +55,7 @@ FaultInjector::extraDelay(const Msg &msg, Cycle now)
     if (enabled(FaultCategory::UnblockDelay) &&
         msg.type == MsgType::Unblock && rng.below(10000) < 8 * rate_) {
         extra += 8 + rng.below(56);
-        stats_.counter("delayedUnblocks")++;
+        delayedUnblocks_++;
     }
     if (extra) {
         ROWSIM_TRACE(TraceCategory::Network, now,
@@ -74,7 +74,7 @@ FaultInjector::tick(Cycle now)
             static_cast<unsigned>(rng.below(sys->mem().numBanks()));
         const Cycle until = now + 16 + rng.below(112);
         sys->mem().directory(bank).injectStall(until);
-        stats_.counter("injectedStalls")++;
+        injectedStalls_++;
         ROWSIM_TRACE(TraceCategory::Coherence, now,
                      "fault: stall dir%u until %llu", bank,
                      static_cast<unsigned long long>(until));
@@ -118,7 +118,7 @@ FaultInjector::attemptEviction(Cycle now)
     for (unsigned i = 0; i < n; i++) {
         const CoreId c = static_cast<CoreId>((start + i) % n);
         if (sys->mem().cache(c).forceEvict(victim, now)) {
-            stats_.counter("forcedEvictions")++;
+            forcedEvictions_++;
             return;
         }
     }

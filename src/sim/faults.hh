@@ -96,6 +96,10 @@ class FaultInjector
     Rng rng;
 
     StatGroup stats_;
+    CounterRef delayedMessages_{stats_, "delayedMessages"};
+    CounterRef delayedUnblocks_{stats_, "delayedUnblocks"};
+    CounterRef injectedStalls_{stats_, "injectedStalls"};
+    CounterRef forcedEvictions_{stats_, "forcedEvictions"};
 };
 
 } // namespace rowsim

@@ -70,13 +70,16 @@ System::setupObservability()
 {
     // Tracing: the environment's request first (so every bench and
     // example picks it up), then explicit SystemParams overrides. The
-    // gates are thread-local, so both are re-applied on every
-    // construction: a System that asks for no tracing must not inherit
-    // the previous System's categories or ring.
+    // gate is thread-local, so this System's effective gate is applied
+    // here and again on entry to every run call (applyTraceGate): a
+    // System must neither inherit another's categories or ring nor
+    // lose its own to a System built after it.
     Trace::initOnce(spec_.trace);
-    Trace::instance().configure(spec_.traceParamsMask ? spec_.traceParamsMask
-                                                      : spec_.trace.mask);
-    Trace::instance().enableRing(spec_.trace.ring);
+    traceSinkMask_ = spec_.traceParamsMask ? spec_.traceParamsMask
+                                           : spec_.trace.mask;
+    traceRing_ = spec_.trace.ring;
+    Trace::instance().enableRing(traceRing_); // a new System: empty ring
+    applyTraceGate();
     if (Trace::anyEnabled() && !params_.traceJsonPath.empty() &&
         !Trace::instance().jsonOpen()) {
         Trace::instance().openJson(params_.traceJsonPath);
@@ -195,8 +198,16 @@ System::setupSelfChecking()
     // Self-checking runs want post-mortem context: keep a retroactive
     // trace ring so crash dumps can replay the events leading up to a
     // violation, even with every trace sink off.
-    if ((spec_.checkMask || faults_) && spec_.trace.ring == 0)
-        Trace::instance().enableRing(256);
+    if ((spec_.checkMask || faults_) && traceRing_ == 0) {
+        traceRing_ = 256;
+        applyTraceGate();
+    }
+}
+
+void
+System::applyTraceGate() const
+{
+    Trace::instance().applyGate(traceSinkMask_, traceRing_);
 }
 
 void
@@ -499,6 +510,7 @@ System::runWarmup(std::uint64_t iter_quota, std::uint64_t warm_iters)
 Cycle
 System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
 {
+    applyTraceGate();
     if (hbEnabled_ && hbStartMs_ == 0) {
         hbStartMs_ = Heartbeat::wallMs();
         hbLastCycle_ = currentCycle;
@@ -594,6 +606,7 @@ System::heartbeatProbe(std::uint64_t iter_quota)
 void
 System::runCycles(Cycle cycles)
 {
+    applyTraceGate();
     const Cycle end = currentCycle + cycles;
     while (currentCycle < end)
         tick();
@@ -602,6 +615,7 @@ System::runCycles(Cycle cycles)
 void
 System::drain()
 {
+    applyTraceGate();
     for (auto &c : cores)
         c->halt();
     const Cycle start = currentCycle;

@@ -236,6 +236,10 @@ class System
     void maybeFastForward();
     /** Apply trace / interval-stats / time-series / heartbeat setup. */
     void setupObservability();
+    /** Make this thread's trace gate this System's (sink categories and
+     *  ring): at construction and on entry to runLoop / runCycles /
+     *  drain, once per call. */
+    void applyTraceGate() const;
     /** Heartbeat run-progress probe, entered from runLoop on a coarse
      *  cycle grid; emits when the wall-clock period elapsed. */
     void heartbeatProbe(std::uint64_t iter_quota);
@@ -290,6 +294,10 @@ class System
     std::unique_ptr<FaultInjector> faults_;
     std::unique_ptr<Profiler> profiler_;
     std::unique_ptr<SpanTracker> spans_;
+
+    /** This System's effective trace gate (see applyTraceGate). */
+    std::uint32_t traceSinkMask_ = 0;
+    std::size_t traceRing_ = 0;
 
     IntervalStats intervalStats_;
     StatGroup simStats_{"sim"};

@@ -233,6 +233,56 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
     }
 }
 
+TEST(Snapshot, RestoreIntoSystemThatAlreadyRan)
+{
+    // The System restored into has run first, so the stat handles it
+    // touched are bound to storage that restore replaces: the resumed
+    // run must re-resolve every one of them and still match an
+    // uninterrupted run bit for bit.
+    const std::pair<const char *, ExpConfig> cases[] = {
+        {"cq", lazyConfig()},
+        {"sps", rowConfig(ContentionDetector::RWDir,
+                          PredictorUpdate::SaturateOnContention)},
+        {"canneal", eagerConfig()},
+    };
+    const unsigned cores = 4;
+    const std::uint64_t seed = 3, quota = 200, warm = 50;
+
+    for (const char *ff : {"0", "1"}) {
+        ScopedEnv env("ROWSIM_FF", ff);
+        for (const auto &[workload, cfg] : cases) {
+            SCOPED_TRACE(std::string(workload) + "/" + cfg.label +
+                         " ff=" + ff);
+            auto cold = makeSystem(workload, cfg, cores, seed);
+            const Cycle cold_cycles = cold->run(quota);
+            const std::string cold_stats = statsJsonOf(*cold);
+            const std::string cold_digest = cold->stateDigest();
+
+            auto warm_sys = makeSystem(workload, cfg, cores, seed);
+            warm_sys->runWarmup(quota, warm);
+            const std::string warm_digest = warm_sys->stateDigest();
+            Ser s;
+            warm_sys->save(s);
+            warm_sys.reset();
+
+            // Stop well short of the warm point, so the earlier run
+            // leaves state and stat values the image does not share.
+            auto resumed = makeSystem(workload, cfg, cores, seed);
+            resumed->runCycles(3000);
+            ASSERT_GT(resumed->totalInstructions(), 0u);
+            Deser d(s.bytes());
+            resumed->restore(d);
+            EXPECT_EQ(resumed->stateDigest(), warm_digest)
+                << "restore did not replace the state of the earlier run";
+
+            EXPECT_EQ(resumed->run(quota), cold_cycles);
+            EXPECT_EQ(statsJsonOf(*resumed), cold_stats)
+                << "stats tree diverged after restore";
+            EXPECT_EQ(resumed->stateDigest(), cold_digest);
+        }
+    }
+}
+
 TEST(Snapshot, CheckpointFileRoundTrip)
 {
     const std::string dir = scratchDir("file");

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/stats.hh"
+#include "sim/snapshot.hh"
 
 using namespace rowsim;
 
@@ -185,4 +189,116 @@ TEST(StatGroup, ResetClearsEverything)
     g.reset();
     EXPECT_EQ(g.counterValue("a"), 0u);
     EXPECT_EQ(g.findAverage("x")->count(), 0u);
+}
+
+namespace
+{
+
+std::vector<std::uint8_t>
+saveBytes(const StatGroup &g)
+{
+    Ser s;
+    g.save(s);
+    return s.bytes();
+}
+
+void
+restoreBytes(StatGroup &g, const std::vector<std::uint8_t> &bytes)
+{
+    Deser d(bytes);
+    g.restore(d);
+}
+
+} // namespace
+
+TEST(StatHandle, UpdatesTheNamedStatistic)
+{
+    StatGroup g("test");
+    CounterRef hits(g, "hits");
+    AverageRef lat(g, "lat");
+    HistogramRef dist(g, "dist", 0, 100, 10);
+    hits++;
+    hits += 4;
+    g.counter("hits")++; // by-name and handle updates meet in one stat
+    lat.sample(10);
+    lat.sample(20);
+    dist.sample(55);
+    EXPECT_EQ(g.counterValue("hits"), 6u);
+    EXPECT_DOUBLE_EQ(g.findAverage("lat")->mean(), 15.0);
+    ASSERT_NE(g.findHistogram("dist"), nullptr);
+    EXPECT_EQ(g.findHistogram("dist")->buckets()[5], 1u);
+}
+
+TEST(StatHandle, UntouchedHandleLeavesNoName)
+{
+    StatGroup bound("test");
+    CounterRef c(bound, "c");
+    AverageRef a(bound, "a");
+    HistogramRef h(bound, "h", 0, 10, 5);
+    EXPECT_TRUE(bound.counters().empty());
+    EXPECT_TRUE(bound.averages().empty());
+    EXPECT_TRUE(bound.histograms().empty());
+
+    // Same bytes as a group that never had a handle, with or without
+    // other statistics beside the untouched ones.
+    StatGroup plain("test");
+    EXPECT_EQ(saveBytes(bound), saveBytes(plain));
+    bound.counter("other") += 3;
+    plain.counter("other") += 3;
+    EXPECT_EQ(saveBytes(bound), saveBytes(plain));
+}
+
+TEST(StatHandle, RebindsAfterRestore)
+{
+    StatGroup g("test");
+    CounterRef c(g, "c");
+    AverageRef a(g, "a");
+    HistogramRef h(g, "h", 0, 10, 5);
+    c += 7;
+    a.sample(1);
+    h.sample(1);
+
+    // An image without the names: restore drops them (and frees the
+    // storage the handles pointed at); the next bump recreates each.
+    StatGroup other("test");
+    other.counter("b") += 2;
+    restoreBytes(g, saveBytes(other));
+    EXPECT_EQ(g.counters().count("c"), 0u);
+    EXPECT_TRUE(g.averages().empty());
+    EXPECT_TRUE(g.histograms().empty());
+    c++;
+    a.sample(3);
+    h.sample(3);
+    EXPECT_EQ(g.counterValue("c"), 1u);
+    EXPECT_EQ(g.counterValue("b"), 2u);
+    EXPECT_EQ(g.findAverage("a")->count(), 1u);
+    EXPECT_EQ(g.findHistogram("h")->summary().count(), 1u);
+
+    // An image with the names: bumps continue from the restored values.
+    StatGroup saved("test");
+    saved.counter("c") += 10;
+    saved.average("a").sample(5);
+    saved.histogram("h", 0, 10, 5).sample(5);
+    restoreBytes(g, saveBytes(saved));
+    c++;
+    a.sample(7);
+    h.sample(7);
+    EXPECT_EQ(g.counterValue("c"), 11u);
+    EXPECT_EQ(g.counters().count("b"), 0u);
+    EXPECT_DOUBLE_EQ(g.findAverage("a")->mean(), 6.0);
+    EXPECT_EQ(g.findHistogram("h")->summary().count(), 2u);
+}
+
+TEST(StatHandle, ResetKeepsHandleValid)
+{
+    StatGroup g("test");
+    CounterRef c(g, "c");
+    AverageRef a(g, "a");
+    c += 5;
+    a.sample(4);
+    g.reset();
+    c++;
+    a.sample(2);
+    EXPECT_EQ(g.counterValue("c"), 1u);
+    EXPECT_DOUBLE_EQ(g.findAverage("a")->mean(), 2.0);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -200,4 +201,38 @@ TEST(SystemIntegration, ObservabilityGatesBelongToEachSystem)
                  makeStreams(profileFor("pc"), 8, 1));
     EXPECT_FALSE(Trace::enabled(TraceCategory::Atomic));
     EXPECT_FALSE(Trace::anyEnabled());
+
+    // ... nor may a System built later take the gate from one still
+    // alive: A traces when it runs after a plain B was built, and B's
+    // own run stays silent.
+    const std::string path = "rowsim_test_trace_gates.json";
+    SystemParams sa = makeParams(eagerConfig(), 8, 1);
+    sa.traceCategories = "atomic";
+    sa.traceJsonPath = path;
+    System a(sa, makeStreams(profileFor("pc"), 8, 1));
+    System b(makeParams(eagerConfig(), 8, 1),
+             makeStreams(profileFor("pc"), 8, 1));
+    EXPECT_FALSE(Trace::anyEnabled());
+    std::FILE *text = std::tmpfile();
+    ASSERT_NE(text, nullptr);
+    Trace &t = Trace::instance();
+    t.setTextSink(text, false);
+    const std::uint64_t eventsBefore = t.eventsEmitted();
+    a.run(20);
+    const std::uint64_t eventsAfterA = t.eventsEmitted();
+    const long textAfterA = std::ftell(text);
+    b.run(20);
+    const std::uint64_t eventsAfterB = t.eventsEmitted();
+    const long textAfterB = std::ftell(text);
+    t.closeJson();
+    t.setTextSink(nullptr, false);
+    std::fclose(text);
+    std::remove(path.c_str());
+
+    EXPECT_GT(a.totalAtomics(), 0u);
+    EXPECT_GT(eventsAfterA, eventsBefore);
+    EXPECT_GT(textAfterA, 0);
+    EXPECT_GT(b.totalAtomics(), 0u);
+    EXPECT_EQ(eventsAfterB, eventsAfterA);
+    EXPECT_EQ(textAfterB, textAfterA);
 }
