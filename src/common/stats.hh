@@ -266,6 +266,17 @@ class IntervalStats
     std::function<void(Cycle, const std::vector<double> &)> observer_;
 };
 
+/** The statistic groups every core owns (pipeline, branch predictor,
+ *  RoW predictor, L1D), in their canonical dump order. */
+enum class CoreGroup : std::uint8_t
+{
+    Core,
+    Branch,
+    Predictor,
+    L1,
+};
+constexpr unsigned kNumCoreGroups = static_cast<unsigned>(CoreGroup::L1) + 1;
+
 /**
  * A named bag of statistics. Components own one and register their
  * counters; System aggregates per-core groups for reporting.

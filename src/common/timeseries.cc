@@ -383,7 +383,7 @@ TimeSeriesEngine::achievedRelHalfwidth() const
 std::string
 TimeSeriesEngine::toJson() const
 {
-    // %.6g everywhere, matching dumpStatsJson: enough digits for the
+    // %.6g everywhere, matching System::statsJson: enough digits for the
     // renderers, and byte-stable because every input double is
     // bit-reproduced across runs / restores.
     auto num = [](double v) {

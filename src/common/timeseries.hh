@@ -14,7 +14,7 @@
  * item 1's SMARTS-style sampling builds on).
  *
  * TimeSeriesEngine bundles one MetricSeries per interval probe, renders
- * the whole state as JSON (the "timeseries" key in dumpStatsJson /
+ * the whole state as JSON (the "timeseries" key in System::statsJson /
  * RunResult), serializes through the snapshot layer, and implements
  * convergence-bounded runs: ROWSIM_CONVERGE=<metric>:<rel_hw>[:<conf>]
  * latches a converged flag the System run loop polls, so the run stops

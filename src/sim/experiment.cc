@@ -29,43 +29,125 @@ runStatusName(RunStatus s)
     return "?";
 }
 
+namespace
+{
+
+using RR = RunResult;
+
+/** An additive count, extrapolated by sampling. */
+constexpr RunMetric
+countRow(const char *name, std::uint64_t RR::*m, MetricTap tap)
+{
+    return {name, m, nullptr, tap, {}, 0, true};
+}
+
+/** scale * num / den over the run (or window), 0 when den is 0. */
+constexpr RunMetric
+ratioRow(const char *name, double RR::*m, double scale, MetricTap num,
+         MetricTap den)
+{
+    return {name, nullptr, m, num, den, scale, false};
+}
+
+/** A per-core Average of @p group pooled over cores. */
+constexpr RunMetric
+meanRow(const char *name, double RR::*m, const char *stat,
+        CoreGroup group = CoreGroup::Core)
+{
+    return {name, nullptr, m, {MetricRead::Mean, group, stat}, {}, 0, false};
+}
+
+/** Quantile @p q of a per-core histogram merged over cores. */
+constexpr RunMetric
+pctRow(const char *name, double RR::*m, const char *hist, double q)
+{
+    const MetricTap tap{MetricRead::Percentile, CoreGroup::Core, hist};
+    return {name, nullptr, m, tap, {}, q, false};
+}
+
+constexpr MetricTap
+counter(const char *stat, CoreGroup group = CoreGroup::Core)
+{
+    return {MetricRead::Counter, group, stat};
+}
+
+constexpr MetricTap kInsts{MetricRead::Instructions};
+constexpr MetricTap kAtomics{MetricRead::Atomics};
+constexpr MetricTap kUnlocked = counter("atomicsUnlocked");
+constexpr MetricTap kOracle = counter("atomicsOracleContended");
+constexpr const char *kD2I = "atomicDispatchToIssueHist";
+constexpr const char *kI2L = "atomicIssueToLockHist";
+constexpr const char *kL2U = "atomicLockToUnlockHist";
+
+/** Report order, which is also the result-store payload layout. */
+constexpr RunMetric kRunMetrics[] = {
+    countRow("cycles", &RR::cycles, {MetricRead::Cycles}),
+    countRow("instructions", &RR::instructions, kInsts),
+    countRow("atomicsCommitted", &RR::atomicsCommitted, kAtomics),
+    ratioRow("atomicsPer10k", &RR::atomicsPer10k, 1e4, kAtomics, kInsts),
+    countRow("atomicsUnlocked", &RR::atomicsUnlocked, kUnlocked),
+    countRow("detectedContended", &RR::detectedContended,
+             counter("atomicsDetectedContended")),
+    countRow("oracleContended", &RR::oracleContended, kOracle),
+    ratioRow("contendedPct", &RR::contendedPct, 100.0, kOracle, kUnlocked),
+    meanRow("missLatency", &RR::missLatency, "missLatency", CoreGroup::L1),
+    meanRow("dispatchToIssue", &RR::dispatchToIssue,
+            "atomicDispatchToIssue"),
+    meanRow("issueToLock", &RR::issueToLock, "atomicIssueToLock"),
+    meanRow("lockToUnlock", &RR::lockToUnlock, "atomicLockToUnlock"),
+    pctRow("dispatchToIssueP50", &RR::dispatchToIssueP50, kD2I, 0.50),
+    pctRow("dispatchToIssueP90", &RR::dispatchToIssueP90, kD2I, 0.90),
+    pctRow("dispatchToIssueP99", &RR::dispatchToIssueP99, kD2I, 0.99),
+    pctRow("issueToLockP50", &RR::issueToLockP50, kI2L, 0.50),
+    pctRow("issueToLockP90", &RR::issueToLockP90, kI2L, 0.90),
+    pctRow("issueToLockP99", &RR::issueToLockP99, kI2L, 0.99),
+    pctRow("lockToUnlockP50", &RR::lockToUnlockP50, kL2U, 0.50),
+    pctRow("lockToUnlockP90", &RR::lockToUnlockP90, kL2U, 0.90),
+    pctRow("lockToUnlockP99", &RR::lockToUnlockP99, kL2U, 0.99),
+    meanRow("olderUnexecuted", &RR::olderUnexecuted,
+            "olderUnexecutedAtIssue"),
+    meanRow("youngerStarted", &RR::youngerStarted, "youngerStartedAtIssue"),
+    ratioRow("predAccuracy", &RR::predAccuracy, 100.0,
+             counter("correct", CoreGroup::Predictor),
+             counter("updates", CoreGroup::Predictor)),
+    countRow("atomicsForwarded", &RR::atomicsForwarded,
+             counter("atomicsForwarded")),
+    countRow("atomicsPromoted", &RR::atomicsPromoted,
+             counter("atomicsPromotedEager")),
+    countRow("forcedUnlocks", &RR::forcedUnlocks, counter("forcedUnlocks")),
+    countRow("eagerIssued", &RR::eagerIssued, counter("atomicsIssuedEager")),
+    countRow("lazyIssued", &RR::lazyIssued, counter("atomicsIssuedLazy")),
+};
+
+} // namespace
+
+std::span<const RunMetric>
+runMetrics()
+{
+    return kRunMetrics;
+}
+
+void
+RunMetric::set(RunResult &r, double v) const
+{
+    if (count)
+        r.*count = static_cast<std::uint64_t>(std::llround(v));
+    else
+        r.*real = v;
+}
+
 std::string
 RunResult::toJson() const
 {
-    std::string j = strprintf(
-        "{\"workload\":\"%s\",\"config\":\"%s\",\"cycles\":%llu,"
-        "\"instructions\":%llu,\"atomicsCommitted\":%llu,"
-        "\"atomicsPer10k\":%.4f,\"atomicsUnlocked\":%llu,"
-        "\"detectedContended\":%llu,\"oracleContended\":%llu,"
-        "\"contendedPct\":%.4f,\"missLatency\":%.4f,"
-        "\"dispatchToIssue\":%.4f,\"issueToLock\":%.4f,"
-        "\"lockToUnlock\":%.4f,"
-        "\"dispatchToIssueP50\":%.4f,\"dispatchToIssueP90\":%.4f,"
-        "\"dispatchToIssueP99\":%.4f,"
-        "\"issueToLockP50\":%.4f,\"issueToLockP90\":%.4f,"
-        "\"issueToLockP99\":%.4f,"
-        "\"lockToUnlockP50\":%.4f,\"lockToUnlockP90\":%.4f,"
-        "\"lockToUnlockP99\":%.4f,\"olderUnexecuted\":%.4f,"
-        "\"youngerStarted\":%.4f,\"predAccuracy\":%.4f,"
-        "\"atomicsForwarded\":%llu,\"atomicsPromoted\":%llu,"
-        "\"forcedUnlocks\":%llu,\"eagerIssued\":%llu,\"lazyIssued\":%llu",
-        workload.c_str(), config.c_str(),
-        static_cast<unsigned long long>(cycles),
-        static_cast<unsigned long long>(instructions),
-        static_cast<unsigned long long>(atomicsCommitted), atomicsPer10k,
-        static_cast<unsigned long long>(atomicsUnlocked),
-        static_cast<unsigned long long>(detectedContended),
-        static_cast<unsigned long long>(oracleContended), contendedPct,
-        missLatency, dispatchToIssue, issueToLock, lockToUnlock,
-        dispatchToIssueP50, dispatchToIssueP90, dispatchToIssueP99,
-        issueToLockP50, issueToLockP90, issueToLockP99, lockToUnlockP50,
-        lockToUnlockP90, lockToUnlockP99, olderUnexecuted, youngerStarted,
-        predAccuracy,
-        static_cast<unsigned long long>(atomicsForwarded),
-        static_cast<unsigned long long>(atomicsPromoted),
-        static_cast<unsigned long long>(forcedUnlocks),
-        static_cast<unsigned long long>(eagerIssued),
-        static_cast<unsigned long long>(lazyIssued));
+    std::string j = strprintf("{\"workload\":\"%s\",\"config\":\"%s\"",
+                              workload.c_str(), config.c_str());
+    for (const RunMetric &m : runMetrics()) {
+        if (m.count)
+            j += strprintf(",\"%s\":%llu", m.name,
+                           static_cast<unsigned long long>(this->*m.count));
+        else
+            j += strprintf(",\"%s\":%.4f", m.name, this->*m.real);
+    }
     if (!spanJson.empty())
         j += ",\"spans\":" + spanJson;
     if (!tsJson.empty())
@@ -262,15 +344,17 @@ writeRecord(const RunResult &r, const char *name, const std::string &json,
  * uninterrupted run, every downstream metric and stats dump is
  * unaffected — only the wall-clock cost of re-simulating the warmup is.
  */
-Cycle
+void
 runMaybeCheckpointed(System &sys, const RunSpec &spec,
                      const std::string &workload, const std::string &label,
                      std::uint64_t quota)
 {
     if (spec.ckptIgnored)
         ROWSIM_WARN("ROWSIM_CKPT ignored: %s", spec.ckptIgnored);
-    if (spec.ckpt == CkptMode::Off)
-        return sys.run(quota);
+    if (spec.ckpt == CkptMode::Off) {
+        sys.run(quota);
+        return;
+    }
 
     const std::uint64_t warm = spec.ckptAt ? spec.ckptAt : quota / 4;
     if (warm == 0 || warm >= quota) {
@@ -278,7 +362,8 @@ runMaybeCheckpointed(System &sys, const RunSpec &spec,
                     "(0, quota %llu)",
                     static_cast<unsigned long long>(warm),
                     static_cast<unsigned long long>(quota));
-        return sys.run(quota);
+        sys.run(quota);
+        return;
     }
 
     const std::string path = checkpointFilePath(
@@ -311,14 +396,12 @@ runMaybeCheckpointed(System &sys, const RunSpec &spec,
     // Degenerate case: every core already reached the quota at the
     // warmup point, so the run is over — run(quota) would tick once
     // more and report one extra cycle.
-    bool done = true;
     for (CoreId c = 0; c < sys.numCores(); c++) {
         if (sys.core(c).committedIterations() < quota) {
-            done = false;
-            break;
+            sys.run(quota);
+            return;
         }
     }
-    return done ? sys.now() : sys.run(quota);
 }
 
 /** The per-run JSON sinks that need only the RunResult (run report,
@@ -379,15 +462,15 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
 
     // Functional fast mode retires the whole quota architecturally;
     // the warmup-checkpoint shortcut is pointless there (the func run
-    // IS the fast path) and is ignored.
-    const Cycle cycles =
-        spec.funcMode
-            ? sys.runFunctional(quota)
-            : runMaybeCheckpointed(sys, spec, workload, label, quota);
-    RunResult r = harvestMetrics(sys, CounterBaseline{}, capture_stats);
+    // IS the fast path) and is ignored. Either way the run ends at
+    // sys.now(), which the harvest reports as cycles.
+    if (spec.funcMode)
+        sys.runFunctional(quota);
+    else
+        runMaybeCheckpointed(sys, spec, workload, label, quota);
+    RunResult r = harvestMetrics(sys, {}, capture_stats);
     r.workload = workload;
     r.config = label;
-    r.cycles = cycles;
 
     if (const Profiler *prof = sys.profiler())
         r.profileJson = prof->toJson();
@@ -414,10 +497,10 @@ runAndCollect(const std::string &workload, const SystemParams &sp,
     // counters/averages/formulas + interval series) of the most recent
     // run, "-" for stdout.
     if (spec.statsJson == "-") {
-        sys.dumpStatsJson(stdout);
+        std::fputs(sys.statsJson().c_str(), stdout);
     } else if (!spec.statsJson.empty()) {
         if (std::FILE *f = std::fopen(spec.statsJson.c_str(), "w")) {
-            sys.dumpStatsJson(f);
+            std::fputs(sys.statsJson().c_str(), f);
             std::fclose(f);
         } else {
             ROWSIM_WARN("cannot open stats JSON file '%s'",

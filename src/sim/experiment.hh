@@ -9,10 +9,12 @@
 #define ROWSIM_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace rowsim
@@ -120,7 +122,7 @@ struct RunResult
     std::uint64_t eagerIssued = 0;
     std::uint64_t lazyIssued = 0;
 
-    /** Full System::dumpStatsJson output, captured before the System is
+    /** Full System::statsJson output, captured before the System is
      *  destroyed. Empty unless the run was asked to capture it
      *  (runExperiment's capture_stats / SweepJob::captureStatsJson) —
      *  it is large, and most callers only want the summary metrics. */
@@ -166,6 +168,60 @@ struct RunResult
      *  versions). */
     std::string toJson() const;
 };
+
+/** How harvestMetrics reads one statistic from a System. */
+enum class MetricRead : std::uint8_t
+{
+    None,         ///< nothing (the denominator of a non-ratio row)
+    Cycles,       ///< System::now()
+    Instructions, ///< System::totalInstructions()
+    Atomics,      ///< System::totalAtomics()
+    Counter,      ///< a per-core counter summed over cores
+    Mean,         ///< a per-core Average pooled over cores
+    Percentile,   ///< a per-core Histogram merged over cores
+};
+
+/** One statistic read: how, from which per-core group, by which name. */
+struct MetricTap
+{
+    MetricRead read = MetricRead::None;
+    CoreGroup group = CoreGroup::Core;
+    const char *stat = nullptr;
+};
+
+/**
+ * One RunResult metric. runMetrics() has one row per metric field, in
+ * report order; toJson, the result-store payload, harvestMetrics and
+ * the sampling aggregation all walk it, so a new metric is one row.
+ *
+ * Cycles / Instructions / Atomics / Counter taps are additive: a
+ * window reports their growth since its baseline. Mean and Percentile
+ * taps are read whole.
+ */
+struct RunMetric
+{
+    const char *name;                      ///< JSON key
+    std::uint64_t RunResult::*count;       ///< integer member, or null
+    double RunResult::*real;               ///< real member, or null
+    MetricTap tap;                         ///< the value, or a numerator
+    MetricTap per;                         ///< ratio rows: denominator
+    /** Ratio rows: scale (value = arg * tap / per, 0 when per is 0);
+     *  Percentile rows: the quantile. */
+    double arg;
+    /** Sampling scales the window mean by quota / detailIters (additive
+     *  counts). Percentile rows are not aggregated at all. */
+    bool extrapolate;
+
+    double get(const RunResult &r) const
+    {
+        return count ? static_cast<double>(r.*count) : r.*real;
+    }
+    /** Store @p v; counts round to nearest. */
+    void set(RunResult &r, double v) const;
+};
+
+/** The RunResult metric table. */
+std::span<const RunMetric> runMetrics();
 
 /** Append @p r as one JSON line to @p path ("-" = stdout). */
 void writeRunReport(const RunResult &r, const std::string &path);

@@ -33,35 +33,12 @@ encodeResult(const RunResult &r)
     s.u8(static_cast<std::uint8_t>(r.status));
     s.str(r.error);
     s.u32(r.attempts);
-    s.u64(r.cycles);
-    s.u64(r.instructions);
-    s.u64(r.atomicsCommitted);
-    s.f64(r.atomicsPer10k);
-    s.u64(r.atomicsUnlocked);
-    s.u64(r.detectedContended);
-    s.u64(r.oracleContended);
-    s.f64(r.contendedPct);
-    s.f64(r.missLatency);
-    s.f64(r.dispatchToIssue);
-    s.f64(r.issueToLock);
-    s.f64(r.lockToUnlock);
-    s.f64(r.dispatchToIssueP50);
-    s.f64(r.dispatchToIssueP90);
-    s.f64(r.dispatchToIssueP99);
-    s.f64(r.issueToLockP50);
-    s.f64(r.issueToLockP90);
-    s.f64(r.issueToLockP99);
-    s.f64(r.lockToUnlockP50);
-    s.f64(r.lockToUnlockP90);
-    s.f64(r.lockToUnlockP99);
-    s.f64(r.olderUnexecuted);
-    s.f64(r.youngerStarted);
-    s.f64(r.predAccuracy);
-    s.u64(r.atomicsForwarded);
-    s.u64(r.atomicsPromoted);
-    s.u64(r.forcedUnlocks);
-    s.u64(r.eagerIssued);
-    s.u64(r.lazyIssued);
+    for (const RunMetric &m : runMetrics()) {
+        if (m.count)
+            s.u64(r.*m.count);
+        else
+            s.f64(r.*m.real);
+    }
     s.section("converge");
     s.str(r.convergeMetric);
     s.f64(r.convergeTarget);
@@ -91,35 +68,12 @@ decodeResult(const std::vector<std::uint8_t> &payload)
     r.status = static_cast<RunStatus>(status);
     r.error = d.str();
     r.attempts = d.u32();
-    r.cycles = d.u64();
-    r.instructions = d.u64();
-    r.atomicsCommitted = d.u64();
-    r.atomicsPer10k = d.f64();
-    r.atomicsUnlocked = d.u64();
-    r.detectedContended = d.u64();
-    r.oracleContended = d.u64();
-    r.contendedPct = d.f64();
-    r.missLatency = d.f64();
-    r.dispatchToIssue = d.f64();
-    r.issueToLock = d.f64();
-    r.lockToUnlock = d.f64();
-    r.dispatchToIssueP50 = d.f64();
-    r.dispatchToIssueP90 = d.f64();
-    r.dispatchToIssueP99 = d.f64();
-    r.issueToLockP50 = d.f64();
-    r.issueToLockP90 = d.f64();
-    r.issueToLockP99 = d.f64();
-    r.lockToUnlockP50 = d.f64();
-    r.lockToUnlockP90 = d.f64();
-    r.lockToUnlockP99 = d.f64();
-    r.olderUnexecuted = d.f64();
-    r.youngerStarted = d.f64();
-    r.predAccuracy = d.f64();
-    r.atomicsForwarded = d.u64();
-    r.atomicsPromoted = d.u64();
-    r.forcedUnlocks = d.u64();
-    r.eagerIssued = d.u64();
-    r.lazyIssued = d.u64();
+    for (const RunMetric &m : runMetrics()) {
+        if (m.count)
+            r.*m.count = d.u64();
+        else
+            r.*m.real = d.f64();
+    }
     d.section("converge");
     r.convergeMetric = d.str();
     r.convergeTarget = d.f64();

@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <type_traits>
+#include <optional>
 
 #include "common/log.hh"
 #include "common/timeseries.hh"
@@ -64,123 +63,76 @@ sampleGrid(std::uint64_t quota, unsigned n)
 namespace
 {
 
-/**
- * Merge one named per-core histogram across every core and read its
- * tail percentiles. Leaves the outputs untouched when no core recorded
- * the histogram (profiling off / no samples).
- */
-void
-mergedPercentiles(System &sys, const char *name, double &p50, double &p90,
-                  double &p99)
+/** The current value of an additive tap; 0 for the taps read whole. */
+std::uint64_t
+readCount(System &sys, const MetricTap &t)
 {
-    const Histogram *first = nullptr;
+    switch (t.read) {
+      case MetricRead::Cycles: return sys.now();
+      case MetricRead::Instructions: return sys.totalInstructions();
+      case MetricRead::Atomics: return sys.totalAtomics();
+      case MetricRead::Counter: return sys.totalCounter(t.stat, t.group);
+      default: return 0;
+    }
+}
+
+/** Quantile @p q of the histogram @p t merged across every core; 0 when
+ *  no core recorded a sample (profiling off). */
+double
+mergedPercentile(System &sys, const MetricTap &t, double q)
+{
+    std::optional<Histogram> merged;
     for (CoreId c = 0; c < sys.numCores(); c++) {
-        if (const Histogram *h = sys.core(c).stats().findHistogram(name)) {
-            first = h;
-            break;
+        const Histogram *h = sys.statGroup(c, t.group).findHistogram(t.stat);
+        if (!h)
+            continue;
+        if (!merged) {
+            merged.emplace(h->lo(), h->hi(),
+                           static_cast<unsigned>(h->buckets().size()));
         }
+        merged->merge(*h);
     }
-    if (!first)
-        return;
-    Histogram merged(first->lo(), first->hi(),
-                     static_cast<unsigned>(first->buckets().size()));
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        if (const Histogram *h = sys.core(c).stats().findHistogram(name))
-            merged.merge(*h);
-    }
-    if (merged.summary().count() == 0)
-        return;
-    p50 = merged.percentile(0.50);
-    p90 = merged.percentile(0.90);
-    p99 = merged.percentile(0.99);
+    return merged && merged->summary().count() ? merged->percentile(q)
+                                               : 0.0;
 }
 
 } // namespace
 
-CounterBaseline
+MetricBaseline
 snapshotCounters(System &sys)
 {
-    CounterBaseline b;
-    b.cycle = sys.now();
-    b.insts = sys.totalInstructions();
-    b.atomics = sys.totalAtomics();
-    b.unlocked = sys.totalCounter("atomicsUnlocked");
-    b.detected = sys.totalCounter("atomicsDetectedContended");
-    b.oracle = sys.totalCounter("atomicsOracleContended");
-    b.forwarded = sys.totalCounter("atomicsForwarded");
-    b.promoted = sys.totalCounter("atomicsPromotedEager");
-    b.forced = sys.totalCounter("forcedUnlocks");
-    b.eager = sys.totalCounter("atomicsIssuedEager");
-    b.lazy = sys.totalCounter("atomicsIssuedLazy");
-    for (CoreId c = 0; c < sys.numCores(); c++) {
-        b.predUpdates +=
-            sys.core(c).predictor().stats().counterValue("updates");
-        b.predCorrect +=
-            sys.core(c).predictor().stats().counterValue("correct");
+    MetricBaseline b;
+    for (const RunMetric &m : runMetrics()) {
+        b.push_back(readCount(sys, m.tap));
+        b.push_back(readCount(sys, m.per));
     }
     return b;
 }
 
 RunResult
-harvestMetrics(System &sys, const CounterBaseline &base, bool capture_stats)
+harvestMetrics(System &sys, const MetricBaseline &base, bool capture_stats)
 {
-    const CounterBaseline now = snapshotCounters(sys);
+    const MetricBaseline now = snapshotCounters(sys);
+    auto delta = [&](std::size_t i) {
+        return now[i] - (base.empty() ? 0 : base[i]);
+    };
     RunResult r;
-    r.instructions = now.insts - base.insts;
-    r.atomicsCommitted = now.atomics - base.atomics;
-    r.atomicsPer10k =
-        r.instructions ? 1e4 * static_cast<double>(r.atomicsCommitted) /
-                             static_cast<double>(r.instructions)
-                       : 0.0;
-    r.atomicsUnlocked = now.unlocked - base.unlocked;
-    r.detectedContended = now.detected - base.detected;
-    r.oracleContended = now.oracle - base.oracle;
-    r.contendedPct =
-        r.atomicsUnlocked
-            ? 100.0 * static_cast<double>(r.oracleContended) /
-                  static_cast<double>(r.atomicsUnlocked)
-            : 0.0;
-    r.atomicsForwarded = now.forwarded - base.forwarded;
-    r.atomicsPromoted = now.promoted - base.promoted;
-    r.forcedUnlocks = now.forced - base.forced;
-    r.eagerIssued = now.eager - base.eager;
-    r.lazyIssued = now.lazy - base.lazy;
-
-    // Latency means and percentiles are read whole (see the header).
-    r.missLatency = sys.meanCacheAverage("missLatency");
-    r.dispatchToIssue = sys.meanAverage("atomicDispatchToIssue");
-    r.issueToLock = sys.meanAverage("atomicIssueToLock");
-    r.lockToUnlock = sys.meanAverage("atomicLockToUnlock");
-    mergedPercentiles(sys, "atomicDispatchToIssueHist",
-                      r.dispatchToIssueP50, r.dispatchToIssueP90,
-                      r.dispatchToIssueP99);
-    mergedPercentiles(sys, "atomicIssueToLockHist", r.issueToLockP50,
-                      r.issueToLockP90, r.issueToLockP99);
-    mergedPercentiles(sys, "atomicLockToUnlockHist", r.lockToUnlockP50,
-                      r.lockToUnlockP90, r.lockToUnlockP99);
-    r.olderUnexecuted = sys.meanAverage("olderUnexecutedAtIssue");
-    r.youngerStarted = sys.meanAverage("youngerStartedAtIssue");
-
-    const std::uint64_t updates = now.predUpdates - base.predUpdates;
-    const std::uint64_t correct = now.predCorrect - base.predCorrect;
-    r.predAccuracy = updates ? 100.0 * static_cast<double>(correct) /
-                                   static_cast<double>(updates)
-                             : 0.0;
-
-    if (capture_stats) {
-        // Render the full stats tree into memory while the System is
-        // still alive (sweeps compare these dumps byte-for-byte).
-        char *buf = nullptr;
-        std::size_t len = 0;
-        if (std::FILE *mem = open_memstream(&buf, &len)) {
-            sys.dumpStatsJson(mem);
-            std::fclose(mem);
-            r.statsJson.assign(buf, len);
-            std::free(buf);
-        } else {
-            ROWSIM_WARN("open_memstream failed; statsJson not captured");
-        }
+    for (std::size_t i = 0; i < runMetrics().size(); i++) {
+        const RunMetric &m = runMetrics()[i];
+        const std::uint64_t num = delta(2 * i), den = delta(2 * i + 1);
+        if (m.count)
+            r.*m.count = num;
+        else if (m.per.read != MetricRead::None)
+            r.*m.real = den ? m.arg * static_cast<double>(num) /
+                                  static_cast<double>(den)
+                            : 0.0;
+        else if (m.tap.read == MetricRead::Mean)
+            r.*m.real = sys.meanAverage(m.tap.stat, m.tap.group);
+        else
+            r.*m.real = mergedPercentile(sys, m.tap, m.arg);
     }
+    if (capture_stats)
+        r.statsJson = sys.statsJson();
     return r;
 }
 
@@ -199,59 +151,6 @@ windowLabel(const std::string &label, const SampleSpec &spec,
                                  spec.detailIters),
                              static_cast<unsigned long long>(quota), k);
 }
-
-/** One aggregated metric: how to read it from a window result, how to
- *  write the whole-run value back into the aggregate result, and
- *  whether the window value is an additive count (extrapolated by
- *  quota / detailIters) or already a rate/mean. */
-struct MetricDef
-{
-    const char *name;
-    double (*get)(const RunResult &);
-    void (*set)(RunResult &, double);
-    bool extrapolate;
-};
-
-/** The MetricDef of RunResult field @p F; counts round to nearest. */
-template <auto F>
-constexpr MetricDef
-metric(const char *name, bool extrapolate)
-{
-    return {name,
-            [](const RunResult &w) { return static_cast<double>(w.*F); },
-            [](RunResult &r, double v) {
-                using T = std::remove_reference_t<decltype(r.*F)>;
-                if constexpr (std::is_integral_v<T>)
-                    r.*F = static_cast<T>(std::llround(v));
-                else
-                    r.*F = v;
-            },
-            extrapolate};
-}
-
-using RR = RunResult;
-constexpr MetricDef kSampledMetrics[] = {
-    metric<&RR::cycles>("cycles", true),
-    metric<&RR::instructions>("instructions", true),
-    metric<&RR::atomicsCommitted>("atomicsCommitted", true),
-    metric<&RR::atomicsUnlocked>("atomicsUnlocked", true),
-    metric<&RR::detectedContended>("detectedContended", true),
-    metric<&RR::oracleContended>("oracleContended", true),
-    metric<&RR::atomicsForwarded>("atomicsForwarded", true),
-    metric<&RR::atomicsPromoted>("atomicsPromoted", true),
-    metric<&RR::forcedUnlocks>("forcedUnlocks", true),
-    metric<&RR::eagerIssued>("eagerIssued", true),
-    metric<&RR::lazyIssued>("lazyIssued", true),
-    metric<&RR::atomicsPer10k>("atomicsPer10k", false),
-    metric<&RR::contendedPct>("contendedPct", false),
-    metric<&RR::missLatency>("missLatency", false),
-    metric<&RR::dispatchToIssue>("dispatchToIssue", false),
-    metric<&RR::issueToLock>("issueToLock", false),
-    metric<&RR::lockToUnlock>("lockToUnlock", false),
-    metric<&RR::olderUnexecuted>("olderUnexecuted", false),
-    metric<&RR::youngerStarted>("youngerStarted", false),
-    metric<&RR::predAccuracy>("predAccuracy", false),
-};
 
 /** Refuse observability setups the checkpoint format cannot carry /
  *  the sampling layout would distort. */
@@ -299,8 +198,8 @@ runDetailWindow(const SweepJob &job)
     if (job.windowWarmIters)
         sys.runWarmup(stop, job.windowStartIters + job.windowWarmIters);
 
-    const CounterBaseline base = snapshotCounters(sys);
-    const Cycle end = sys.run(stop);
+    const MetricBaseline base = snapshotCounters(sys);
+    sys.run(stop);
 
     // The timing stats were empty at the func-written checkpoint, so
     // whole-read latency means cover exactly this window's detail-warm +
@@ -308,7 +207,6 @@ runDetailWindow(const SweepJob &job)
     RunResult r = harvestMetrics(sys, base, job.captureStatsJson);
     r.workload = job.workload;
     r.config = job.cfg.label;
-    r.cycles = end - base.cycle;
 
     if (store)
         store->store(key, r);
@@ -394,11 +292,21 @@ runSampled(const std::string &workload, const SystemParams &params,
     // stddev, and Student-t CI over the window values; additive
     // counters are extrapolated by quota / detailIters into whole-run
     // estimates, which also fill the headline RunResult fields (so a
-    // fig09 ranking of sampled runs works unchanged).
+    // fig09 ranking of sampled runs works unchanged). The extrapolated
+    // rows come first in the report; percentiles are not aggregated.
+    std::vector<const RunMetric *> sampled;
+    for (bool extrapolated : {true, false}) {
+        for (const RunMetric &m : runMetrics()) {
+            if (m.extrapolate == extrapolated &&
+                m.tap.read != MetricRead::Percentile)
+                sampled.push_back(&m);
+        }
+    }
     const double scale = static_cast<double>(quota) /
                          static_cast<double>(spec.detailIters);
     std::string metricsJson;
-    for (const MetricDef &m : kSampledMetrics) {
+    for (const RunMetric *mp : sampled) {
+        const RunMetric &m = *mp;
         double sum = 0.0;
         for (unsigned k = 0; k < n; k++)
             sum += m.get(wins[k]);
@@ -443,10 +351,10 @@ runSampled(const std::string &workload, const SystemParams &params,
         gridJson += strprintf(
             "%llu", static_cast<unsigned long long>(grid[k]));
         std::string wm;
-        for (const MetricDef &m : kSampledMetrics) {
+        for (const RunMetric *m : sampled) {
             if (!wm.empty())
                 wm += ",";
-            wm += strprintf("\"%s\":%.17g", m.name, m.get(wins[k]));
+            wm += strprintf("\"%s\":%.17g", m->name, m->get(wins[k]));
         }
         windowsJson += strprintf(
             "{\"k\":%u,\"mark\":%llu,\"fromCache\":%s,\"attempts\":%u,"

@@ -50,27 +50,19 @@ SampleSpec parseSampleSpec(const char *name, const std::string &spec);
 
 class System;
 
-/** Additive counters at one point of a run. A measurement window
- *  snapshots them before its measured segment and reports the deltas
- *  (the detail warm-up and — for the instruction counters — the
- *  functional prefix are both excluded). */
-struct CounterBaseline
-{
-    Cycle cycle = 0;
-    std::uint64_t insts = 0, atomics = 0;
-    std::uint64_t unlocked = 0, detected = 0, oracle = 0;
-    std::uint64_t forwarded = 0, promoted = 0, forced = 0;
-    std::uint64_t eager = 0, lazy = 0;
-    std::uint64_t predUpdates = 0, predCorrect = 0;
-};
+/** The additive taps of every runMetrics() row (value, denominator) at
+ *  one point of a run. A measurement window snapshots them before its
+ *  measured segment and reports the deltas (the detail warm-up and —
+ *  for the instruction counters — the functional prefix are both
+ *  excluded); an empty baseline is the start of the run. */
+using MetricBaseline = std::vector<std::uint64_t>;
 
-CounterBaseline snapshotCounters(System &sys);
+MetricBaseline snapshotCounters(System &sys);
 
-/** The RunResult metrics of @p sys since @p base (a default baseline:
- *  the whole run), with the full stats tree when @p capture_stats.
- *  Latency means and percentiles are read whole; workload, config and
- *  cycles are left to the caller. */
-RunResult harvestMetrics(System &sys, const CounterBaseline &base,
+/** The RunResult metrics of @p sys since @p base, with the full stats
+ *  tree when @p capture_stats. Mean and percentile rows are read
+ *  whole; workload and config are left to the caller. */
+RunResult harvestMetrics(System &sys, const MetricBaseline &base,
                          bool capture_stats);
 
 /** Checkpoint marks m_k = floor(quota * k / n), k = 0..n-1. */

@@ -47,7 +47,7 @@ struct SweepJob
     /** Per-core iterations; 0 = the workload's default quota. */
     std::uint64_t quota = 0;
     std::uint64_t seed = 1;
-    /** Capture System::dumpStatsJson into RunResult::statsJson
+    /** Capture System::statsJson into RunResult::statsJson
      *  (determinism audits; large, so off by default). */
     bool captureStatsJson = false;
 

@@ -15,6 +15,34 @@
 namespace rowsim
 {
 
+template <class Fn>
+void
+System::forEachStatGroup(Fn &&fn) const
+{
+    auto &self = const_cast<System &>(*this);
+    fn(self.simStats_);
+    for (CoreId c = 0; c < numCores(); c++) {
+        for (unsigned g = 0; g < kNumCoreGroups; g++)
+            fn(statGroup(c, static_cast<CoreGroup>(g)));
+    }
+    for (unsigned b = 0; b < memsys.numBanks(); b++)
+        fn(self.memsys.directory(b).stats());
+    fn(self.memsys.network().stats());
+}
+
+StatGroup &
+System::statGroup(CoreId c, CoreGroup g) const
+{
+    Core &core = *cores[c];
+    switch (g) {
+      case CoreGroup::Core: return core.stats();
+      case CoreGroup::Branch: return core.branchPredictor().stats();
+      case CoreGroup::Predictor: return core.predictor().stats();
+      case CoreGroup::L1: break;
+    }
+    return const_cast<MemSystem &>(memsys).cache(c).stats();
+}
+
 System::System(const SystemParams &params,
                std::vector<std::unique_ptr<InstStream>> streams)
     : params_(params), spec_(resolveRunSpec(params)), memsys(params),
@@ -317,72 +345,40 @@ System::maybeFastForward()
     }
     ffBackoffLen_ = 0;
     if (spec_.ff == FastForwardMode::Check) {
-        auto &self = const_cast<System &>(*this);
-        auto dumpAll = [&]() {
-            std::string s;
-            auto addGroup = [&](const StatGroup &g) {
-                for (const auto &kv : g.counters())
-                    s += g.name() + "." + kv.first + "=" +
-                         std::to_string(kv.second.value()) + "\n";
-                for (const auto &kv : g.averages())
-                    s += g.name() + "." + kv.first + "=" +
-                         std::to_string(kv.second.count()) + ":" +
-                         std::to_string(kv.second.sum()) + "\n";
+        // Every statistic's save image, group by group, plus the
+        // interval sampler's and the time-series engine's: samples must
+        // land at the same cycles with the same deltas whether the
+        // window is skipped or ticked through.
+        auto images = [&] {
+            std::vector<std::pair<std::string, std::vector<std::uint8_t>>> v;
+            auto add = [&](const std::string &name, const auto &stats) {
+                Ser s;
+                stats.save(s);
+                v.emplace_back(name, s.bytes());
             };
-            addGroup(simStats_);
-            for (CoreId c = 0; c < cores.size(); c++) {
-                addGroup(self.core(c).stats());
-                addGroup(self.core(c).branchPredictor().stats());
-                addGroup(self.core(c).predictor().stats());
-                addGroup(self.mem().cache(c).stats());
-            }
-            for (unsigned b = 0; b < self.mem().numBanks(); b++)
-                addGroup(self.mem().directory(b).stats());
-            addGroup(self.mem().network().stats());
-            // Interval samples must land at the same cycles with the
-            // same deltas whether the window is skipped or ticked
-            // through — compare the full series, not just counters.
-            if (intervalStats_.enabled()) {
-                const auto &cyc = intervalStats_.sampleCycles();
-                for (std::size_t i = 0; i < cyc.size(); i++)
-                    s += "interval.cycle=" + std::to_string(cyc[i]) + "\n";
-                const auto &probes = intervalStats_.probes();
-                const auto &series = intervalStats_.series();
-                for (std::size_t p = 0; p < probes.size(); p++) {
-                    for (std::size_t i = 0; i < series[p].size(); i++) {
-                        s += "interval." + probes[p].name + "=" +
-                             std::to_string(series[p][i]) + "\n";
-                    }
-                }
-            }
+            forEachStatGroup(
+                [&](const StatGroup &g) { add(g.name(), g); });
+            add("interval", intervalStats_);
             if (ts_)
-                s += ts_->toJson();
-            return s;
+                add("timeseries", *ts_);
+            return v;
         };
-        const std::string before = dumpAll();
+        const auto before = images();
         // Equivalence assert: tick through the predicted-idle window and
         // verify nothing the skip would elide actually happens.
         const std::uint64_t insts = totalInstructions();
         const std::uint64_t atomics = totalAtomics();
         const std::uint64_t delivered =
             memsys.network().stats().counterValue("delivered");
-        std::uint64_t steals = 0;
-        for (CoreId c = 0; c < cores.size(); c++) {
-            steals += memsys.cache(c).stats()
-                          .counterValue("stealAttempts");
-        }
+        const std::uint64_t steals =
+            totalCounter("stealAttempts", CoreGroup::L1);
         const Cycle from = currentCycle;
         while (currentCycle < next - 1)
             tick();
-        std::uint64_t steals_after = 0;
-        for (CoreId c = 0; c < cores.size(); c++) {
-            steals_after += memsys.cache(c).stats()
-                                .counterValue("stealAttempts");
-        }
         if (totalInstructions() != insts || totalAtomics() != atomics ||
             memsys.network().stats().counterValue("delivered") !=
                 delivered ||
-            steals_after != steals) {
+            totalCounter("stealAttempts", CoreGroup::L1) != steals) {
             ROWSIM_PANIC("[ff-check] cycles %llu..%llu were predicted "
                          "idle but committed work (insts %llu->%llu, "
                          "atomics %llu->%llu)",
@@ -394,18 +390,15 @@ System::maybeFastForward()
                          static_cast<unsigned long long>(atomics),
                          static_cast<unsigned long long>(totalAtomics()));
         }
-        const std::string after = dumpAll();
-        if (before != after) {
-            std::size_t p = 0;
-            while (p < before.size() && p < after.size() &&
-                   before[p] == after[p])
-                p++;
-            std::fprintf(stderr, "[ff-check] stats drift in window "
-                         "%llu..%llu near: %.120s\n",
-                         static_cast<unsigned long long>(from + 1),
-                         static_cast<unsigned long long>(next - 1),
-                         before.substr(p > 60 ? p - 60 : 0, 120).c_str());
-            ROWSIM_PANIC("[ff-check] full-stats drift");
+        const auto after = images();
+        for (std::size_t i = 0; i < before.size(); i++) {
+            if (before[i] != after[i]) {
+                ROWSIM_PANIC("[ff-check] stats drift in '%s' over cycles "
+                             "%llu..%llu, which were predicted idle",
+                             before[i].first.c_str(),
+                             static_cast<unsigned long long>(from + 1),
+                             static_cast<unsigned long long>(next - 1));
+            }
         }
         return;
     }
@@ -676,20 +669,8 @@ System::saveAux(Ser &s) const
 void
 System::saveStats(Ser &s) const
 {
-    // Groups travel in dumpStats/dumpStatsJson order, the one canonical
-    // walk of every group the simulator ever prints.
-    auto &self = const_cast<System &>(*this);
     s.section("stats");
-    self.simStats_.save(s);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        self.core(c).stats().save(s);
-        self.core(c).branchPredictor().stats().save(s);
-        self.core(c).predictor().stats().save(s);
-        self.mem().cache(c).stats().save(s);
-    }
-    for (unsigned b = 0; b < self.mem().numBanks(); b++)
-        self.mem().directory(b).stats().save(s);
-    self.mem().network().stats().save(s);
+    forEachStatGroup([&](const StatGroup &g) { g.save(s); });
     intervalStats_.save(s);
     s.b(ts_ != nullptr);
     if (ts_)
@@ -738,16 +719,7 @@ System::restore(Deser &d)
     checker_->restoreSweepState(last_sweep, sweeps);
 
     d.section("stats");
-    simStats_.restore(d);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        core(c).stats().restore(d);
-        core(c).branchPredictor().stats().restore(d);
-        core(c).predictor().stats().restore(d);
-        mem().cache(c).stats().restore(d);
-    }
-    for (unsigned b = 0; b < mem().numBanks(); b++)
-        mem().directory(b).stats().restore(d);
-    mem().network().stats().restore(d);
+    forEachStatGroup([&](StatGroup &g) { g.restore(d); });
     intervalStats_.restore(d);
     const bool had_ts = d.b();
     if (had_ts != (ts_ != nullptr)) {
@@ -970,217 +942,123 @@ System::dumpCrashDiagnostics(const char *reason)
 
 namespace
 {
-void
-dumpGroup(std::FILE *out, StatGroup &g)
+/** One group's `"name": {...}` object of the stats JSON. */
+std::string
+groupJson(const StatGroup &g)
 {
+    std::string j = strprintf("    \"%s\": {", g.name().c_str());
+    const char *sep = "";
     for (const auto &kv : g.counters()) {
-        std::fprintf(out, "%s.%s %llu\n", g.name().c_str(),
-                     kv.first.c_str(),
-                     static_cast<unsigned long long>(kv.second.value()));
+        j += strprintf("%s\"%s\": %llu", sep, kv.first.c_str(),
+                       static_cast<unsigned long long>(kv.second.value()));
+        sep = ", ";
     }
     for (const auto &kv : g.averages()) {
-        std::fprintf(out, "%s.%s mean=%.2f min=%.0f max=%.0f n=%llu\n",
-                     g.name().c_str(), kv.first.c_str(),
-                     kv.second.mean(), kv.second.min(), kv.second.max(),
-                     static_cast<unsigned long long>(kv.second.count()));
+        j += strprintf("%s\"%s\": {\"mean\": %.6g, \"min\": %.6g, "
+                       "\"max\": %.6g, \"count\": %llu}",
+                       sep, kv.first.c_str(), kv.second.mean(),
+                       kv.second.min(), kv.second.max(),
+                       static_cast<unsigned long long>(kv.second.count()));
+        sep = ", ";
     }
     for (const auto &kv : g.formulas()) {
-        std::fprintf(out, "%s.%s %.4f\n", g.name().c_str(),
-                     kv.first.c_str(), kv.second.value());
+        j += strprintf("%s\"%s\": %.6g", sep, kv.first.c_str(),
+                       kv.second.value());
+        sep = ", ";
     }
     for (const auto &kv : g.histograms()) {
         const Histogram &h = kv.second;
-        std::fprintf(out,
-                     "%s.%s mean=%.2f p50=%.0f p90=%.0f p99=%.0f "
-                     "n=%llu\n",
-                     g.name().c_str(), kv.first.c_str(),
-                     h.summary().mean(), h.percentile(0.50),
-                     h.percentile(0.90), h.percentile(0.99),
-                     static_cast<unsigned long long>(
-                         h.summary().count()));
-    }
-}
-
-void
-dumpGroupJson(std::FILE *out, StatGroup &g, bool &first_group)
-{
-    if (!first_group)
-        std::fprintf(out, ",\n");
-    first_group = false;
-    std::fprintf(out, "    \"%s\": {", g.name().c_str());
-    bool first = true;
-    for (const auto &kv : g.counters()) {
-        std::fprintf(out, "%s\"%s\": %llu", first ? "" : ", ",
-                     kv.first.c_str(),
-                     static_cast<unsigned long long>(kv.second.value()));
-        first = false;
-    }
-    for (const auto &kv : g.averages()) {
-        std::fprintf(out,
-                     "%s\"%s\": {\"mean\": %.6g, \"min\": %.6g, "
-                     "\"max\": %.6g, \"count\": %llu}",
-                     first ? "" : ", ", kv.first.c_str(),
-                     kv.second.mean(), kv.second.min(), kv.second.max(),
-                     static_cast<unsigned long long>(kv.second.count()));
-        first = false;
-    }
-    for (const auto &kv : g.formulas()) {
-        std::fprintf(out, "%s\"%s\": %.6g", first ? "" : ", ",
-                     kv.first.c_str(), kv.second.value());
-        first = false;
-    }
-    for (const auto &kv : g.histograms()) {
-        const Histogram &h = kv.second;
-        std::fprintf(out,
-                     "%s\"%s\": {\"mean\": %.6g, \"min\": %.6g, "
-                     "\"max\": %.6g, \"count\": %llu, "
-                     "\"p50\": %.6g, \"p90\": %.6g, \"p99\": %.6g, "
-                     "\"lo\": %.6g, \"hi\": %.6g, \"underflow\": %llu, "
-                     "\"overflow\": %llu, \"buckets\": [",
-                     first ? "" : ", ", kv.first.c_str(),
-                     h.summary().mean(), h.summary().min(),
-                     h.summary().max(),
-                     static_cast<unsigned long long>(h.summary().count()),
-                     h.percentile(0.50), h.percentile(0.90),
-                     h.percentile(0.99), h.lo(), h.hi(),
-                     static_cast<unsigned long long>(h.underflow()),
-                     static_cast<unsigned long long>(h.overflow()));
+        j += strprintf("%s\"%s\": {\"mean\": %.6g, \"min\": %.6g, "
+                       "\"max\": %.6g, \"count\": %llu, "
+                       "\"p50\": %.6g, \"p90\": %.6g, \"p99\": %.6g, "
+                       "\"lo\": %.6g, \"hi\": %.6g, \"underflow\": %llu, "
+                       "\"overflow\": %llu, \"buckets\": [",
+                       sep, kv.first.c_str(), h.summary().mean(),
+                       h.summary().min(), h.summary().max(),
+                       static_cast<unsigned long long>(h.summary().count()),
+                       h.percentile(0.50), h.percentile(0.90),
+                       h.percentile(0.99), h.lo(), h.hi(),
+                       static_cast<unsigned long long>(h.underflow()),
+                       static_cast<unsigned long long>(h.overflow()));
         for (std::size_t i = 0; i < h.buckets().size(); i++) {
-            std::fprintf(out, "%s%llu", i ? ", " : "",
-                         static_cast<unsigned long long>(
-                             h.buckets()[i]));
+            j += strprintf("%s%llu", i ? ", " : "",
+                           static_cast<unsigned long long>(h.buckets()[i]));
         }
-        std::fprintf(out, "]}");
-        first = false;
+        j += "]}";
+        sep = ", ";
     }
-    std::fprintf(out, "}");
+    return j + "}";
 }
 } // namespace
 
-void
-System::dumpStats(std::FILE *out) const
+std::string
+System::statsJson() const
 {
-    auto &self = const_cast<System &>(*this);
-    std::fprintf(out, "sim.cycles %llu\n",
-                 static_cast<unsigned long long>(currentCycle));
-    std::fprintf(out, "sim.instructions %llu\n",
-                 static_cast<unsigned long long>(totalInstructions()));
-    std::fprintf(out, "sim.atomics %llu\n",
-                 static_cast<unsigned long long>(totalAtomics()));
-    dumpGroup(out, self.simStats_);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        dumpGroup(out, self.core(c).stats());
-        dumpGroup(out, self.core(c).branchPredictor().stats());
-        dumpGroup(out, self.core(c).predictor().stats());
-        dumpGroup(out, self.mem().cache(c).stats());
-    }
-    for (unsigned b = 0; b < self.mem().numBanks(); b++)
-        dumpGroup(out, self.mem().directory(b).stats());
-    dumpGroup(out, self.mem().network().stats());
-}
-
-void
-System::dumpStatsJson(std::FILE *out) const
-{
-    auto &self = const_cast<System &>(*this);
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"cycles\": %llu,\n",
-                 static_cast<unsigned long long>(currentCycle));
-    std::fprintf(out, "  \"instructions\": %llu,\n",
-                 static_cast<unsigned long long>(totalInstructions()));
-    std::fprintf(out, "  \"atomics\": %llu,\n",
-                 static_cast<unsigned long long>(totalAtomics()));
-    std::fprintf(out, "  \"numCores\": %u,\n", numCores());
-
-    std::fprintf(out, "  \"groups\": {\n");
-    bool first_group = true;
-    dumpGroupJson(out, self.simStats_, first_group);
-    for (CoreId c = 0; c < cores.size(); c++) {
-        dumpGroupJson(out, self.core(c).stats(), first_group);
-        dumpGroupJson(out, self.core(c).branchPredictor().stats(),
-                      first_group);
-        dumpGroupJson(out, self.core(c).predictor().stats(), first_group);
-        dumpGroupJson(out, self.mem().cache(c).stats(), first_group);
-    }
-    for (unsigned b = 0; b < self.mem().numBanks(); b++)
-        dumpGroupJson(out, self.mem().directory(b).stats(), first_group);
-    dumpGroupJson(out, self.mem().network().stats(), first_group);
-    std::fprintf(out, "\n  }");
+    std::string j = strprintf(
+        "{\n  \"cycles\": %llu,\n  \"instructions\": %llu,\n"
+        "  \"atomics\": %llu,\n  \"numCores\": %u,\n  \"groups\": {\n",
+        static_cast<unsigned long long>(currentCycle),
+        static_cast<unsigned long long>(totalInstructions()),
+        static_cast<unsigned long long>(totalAtomics()), numCores());
+    const char *sep = "";
+    forEachStatGroup([&](const StatGroup &g) {
+        j += sep + groupJson(g);
+        sep = ",\n";
+    });
+    j += "\n  }";
 
     if (intervalStats_.enabled()) {
-        std::fprintf(out, ",\n  \"intervals\": {\n");
-        std::fprintf(out, "    \"period\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         intervalStats_.period()));
-        std::fprintf(out, "    \"cycles\": [");
+        j += strprintf(",\n  \"intervals\": {\n    \"period\": %llu,\n"
+                       "    \"cycles\": [",
+                       static_cast<unsigned long long>(
+                           intervalStats_.period()));
         const auto &cyc = intervalStats_.sampleCycles();
         for (std::size_t i = 0; i < cyc.size(); i++)
-            std::fprintf(out, "%s%llu", i ? ", " : "",
-                         static_cast<unsigned long long>(cyc[i]));
-        std::fprintf(out, "],\n    \"series\": {");
+            j += strprintf("%s%llu", i ? ", " : "",
+                           static_cast<unsigned long long>(cyc[i]));
+        j += "],\n    \"series\": {";
         const auto &probes = intervalStats_.probes();
         const auto &series = intervalStats_.series();
         for (std::size_t p = 0; p < probes.size(); p++) {
-            std::fprintf(out, "%s\"%s\": [", p ? ", " : "",
-                         probes[p].name.c_str());
+            j += strprintf("%s\"%s\": [", p ? ", " : "",
+                           probes[p].name.c_str());
             for (std::size_t i = 0; i < series[p].size(); i++)
-                std::fprintf(out, "%s%.6g", i ? ", " : "", series[p][i]);
-            std::fprintf(out, "]");
+                j += strprintf("%s%.6g", i ? ", " : "", series[p][i]);
+            j += "]";
         }
-        std::fprintf(out, "}\n  }");
+        j += "}\n  }";
     }
 
     // Metric time-series engine (absent — not empty — when off, keeping
     // the off-mode dump byte-identical to pre-engine builds).
-    if (ts_) {
-        std::fprintf(out, ",\n  \"timeseries\": %s",
-                     ts_->toJson().c_str());
-    }
+    if (ts_)
+        j += ",\n  \"timeseries\": " + ts_->toJson();
     // Attribution profiler (absent — not empty — when profiling is off,
     // keeping the off-mode dump byte-identical to pre-profiler builds).
     if (profiler_)
-        std::fprintf(out, ",\n  \"profile\": %s",
-                     profiler_->toJson().c_str());
+        j += ",\n  \"profile\": " + profiler_->toJson();
     // Span tracker (same absent-when-off contract as "profile").
     if (spans_)
-        std::fprintf(out, ",\n  \"spans\": %s", spans_->toJson().c_str());
-    std::fprintf(out, "\n}\n");
+        j += ",\n  \"spans\": " + spans_->toJson();
+    return j + "\n}\n";
 }
 
 std::uint64_t
-System::totalCounter(const std::string &name) const
+System::totalCounter(const std::string &name, CoreGroup g) const
 {
     std::uint64_t sum = 0;
-    for (const auto &c : cores)
-        sum += const_cast<Core &>(*c).stats().counterValue(name);
+    for (CoreId c = 0; c < numCores(); c++)
+        sum += statGroup(c, g).counterValue(name);
     return sum;
 }
 
 double
-System::meanAverage(const std::string &name) const
+System::meanAverage(const std::string &name, CoreGroup g) const
 {
     double sum = 0;
     std::uint64_t n = 0;
-    for (const auto &c : cores) {
-        const Average *a =
-            const_cast<Core &>(*c).stats().findAverage(name);
-        if (a) {
-            sum += a->sum();
-            n += a->count();
-        }
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double
-System::meanCacheAverage(const std::string &name) const
-{
-    double sum = 0;
-    std::uint64_t n = 0;
-    for (CoreId c = 0; c < cores.size(); c++) {
-        const Average *a = const_cast<MemSystem &>(memsys)
-                               .cache(c).stats().findAverage(name);
-        if (a) {
+    for (CoreId c = 0; c < numCores(); c++) {
+        if (const Average *a = statGroup(c, g).findAverage(name)) {
             sum += a->sum();
             n += a->count();
         }

@@ -152,14 +152,11 @@ class System
     Cycle now() const { return currentCycle; }
     const SystemParams &params() const { return params_; }
 
-    /** Dump every statistic group (cores, caches, banks, network) in a
-     *  gem5-style "group.stat value" format. */
-    void dumpStats(std::FILE *out) const;
-
-    /** Dump the same statistics as one machine-readable JSON object:
-     *  sim totals, every group's counters/averages/formulas, and the
-     *  interval-stats time series when sampling is enabled. */
-    void dumpStatsJson(std::FILE *out) const;
+    /** Every statistic as one machine-readable JSON object: sim
+     *  totals, every group's counters/averages/formulas/histograms in
+     *  forEachStatGroup order, and the interval-stats time series when
+     *  sampling is enabled. */
+    std::string statsJson() const;
 
     /** Interval sampler (enabled via SystemParams::statsInterval or the
      *  ROWSIM_STATS_INTERVAL env var; see common/stats.hh). */
@@ -204,12 +201,14 @@ class System
      *  with fast-forward on and off). */
     Cycle fastForwardedCycles() const { return ffSkipped_; }
 
+    /** Core @p c's statistic group @p g. */
+    StatGroup &statGroup(CoreId c, CoreGroup g) const;
     /** Sum of a per-core counter across all cores. */
-    std::uint64_t totalCounter(const std::string &name) const;
+    std::uint64_t totalCounter(const std::string &name,
+                               CoreGroup g = CoreGroup::Core) const;
     /** Count-weighted mean of a per-core Average across all cores. */
-    double meanAverage(const std::string &name) const;
-    /** Count-weighted mean of a per-cache Average across all caches. */
-    double meanCacheAverage(const std::string &name) const;
+    double meanAverage(const std::string &name,
+                       CoreGroup g = CoreGroup::Core) const;
     std::uint64_t totalInstructions() const;
     std::uint64_t totalAtomics() const;
 
@@ -219,6 +218,12 @@ class System
      *  when @p warm_iters is non-zero — return early (cores unhalted)
      *  once every core has committed warm_iters iterations. */
     Cycle runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters);
+    /** Call @p fn(StatGroup &) on every statistic group in the one
+     *  canonical order: sim, then per core its CoreGroups, then the
+     *  directory banks, then the network. Dumps, checkpoints and the
+     *  fast-forward audit all walk it. */
+    template <class Fn>
+    void forEachStatGroup(Fn &&fn) const;
     /** The three save() passes (see save()). */
     void saveArch(Ser &s) const;
     void saveAux(Ser &s) const;

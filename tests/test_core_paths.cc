@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -298,21 +297,20 @@ TEST(CorePaths, DumpStatsEmitsEveryGroup)
                        mkop(OpClass::IntAlu)});
     sys->run(10);
 
-    std::FILE *f = std::tmpfile();
-    ASSERT_NE(f, nullptr);
-    sys->dumpStats(f);
-    std::fflush(f);
-    long size = std::ftell(f);
-    std::rewind(f);
-    std::string content(static_cast<std::size_t>(size), '\0');
-    ASSERT_EQ(std::fread(content.data(), 1, content.size(), f),
-              content.size());
-    std::fclose(f);
-
-    EXPECT_NE(content.find("sim.cycles"), std::string::npos);
-    EXPECT_NE(content.find("core0.atomicsUnlocked"), std::string::npos);
-    EXPECT_NE(content.find("l1d0.accesses"), std::string::npos);
-    EXPECT_NE(content.find("network.messages"), std::string::npos);
+    // The stats JSON prints each group object on its own line.
+    const std::string json = sys->statsJson();
+    auto group = [&](const std::string &name) {
+        const std::size_t at = json.find("\n    \"" + name + "\": {");
+        if (at == std::string::npos)
+            return std::string();
+        return json.substr(at + 1, json.find('\n', at + 1) - at - 1);
+    };
+    EXPECT_NE(json.find("\"cycles\": "), std::string::npos);
+    EXPECT_NE(group("sim"), "");
+    EXPECT_NE(group("core0").find("\"atomicsUnlocked\": "),
+              std::string::npos);
+    EXPECT_NE(group("l1d0").find("\"accesses\": "), std::string::npos);
+    EXPECT_NE(group("network").find("\"messages\": "), std::string::npos);
 }
 
 TEST(CorePaths, PrefetcherOffStillCorrect)

@@ -33,20 +33,6 @@ using namespace rowsim;
 namespace
 {
 
-std::string
-statsJsonOf(System &sys)
-{
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *mem = open_memstream(&buf, &len);
-    EXPECT_NE(mem, nullptr);
-    sys.dumpStatsJson(mem);
-    std::fclose(mem);
-    std::string out(buf, len);
-    std::free(buf);
-    return out;
-}
-
 std::unique_ptr<System>
 makeSystem(const std::string &workload, const ExpConfig &cfg,
            unsigned cores, std::uint64_t seed)
@@ -195,7 +181,7 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
             // Uninterrupted reference run.
             auto cold = makeSystem(c.workload, c.cfg, cores, seed);
             const Cycle cold_cycles = cold->run(c.quota);
-            const std::string cold_stats = statsJsonOf(*cold);
+            const std::string cold_stats = cold->statsJson();
             const std::string cold_digest = cold->stateDigest();
 
             // Warm up, serialize, restore into a fresh System, finish.
@@ -226,7 +212,7 @@ TEST(Snapshot, SaveRestoreRunBitIdenticalAcrossPoliciesAndFF)
                 << "restore did not reproduce the saved state";
 
             EXPECT_EQ(resumed->run(c.quota), cold_cycles);
-            EXPECT_EQ(statsJsonOf(*resumed), cold_stats)
+            EXPECT_EQ(resumed->statsJson(), cold_stats)
                 << "stats tree diverged after restore";
             EXPECT_EQ(resumed->stateDigest(), cold_digest);
         }
@@ -255,7 +241,7 @@ TEST(Snapshot, RestoreIntoSystemThatAlreadyRan)
                          " ff=" + ff);
             auto cold = makeSystem(workload, cfg, cores, seed);
             const Cycle cold_cycles = cold->run(quota);
-            const std::string cold_stats = statsJsonOf(*cold);
+            const std::string cold_stats = cold->statsJson();
             const std::string cold_digest = cold->stateDigest();
 
             auto warm_sys = makeSystem(workload, cfg, cores, seed);
@@ -276,7 +262,7 @@ TEST(Snapshot, RestoreIntoSystemThatAlreadyRan)
                 << "restore did not replace the state of the earlier run";
 
             EXPECT_EQ(resumed->run(quota), cold_cycles);
-            EXPECT_EQ(statsJsonOf(*resumed), cold_stats)
+            EXPECT_EQ(resumed->statsJson(), cold_stats)
                 << "stats tree diverged after restore";
             EXPECT_EQ(resumed->stateDigest(), cold_digest);
         }
@@ -294,13 +280,13 @@ TEST(Snapshot, CheckpointFileRoundTrip)
     const std::string saved_digest = a->stateDigest();
     a->saveCheckpoint(path);
     const Cycle a_final = a->run(160);
-    const std::string a_stats = statsJsonOf(*a);
+    const std::string a_stats = a->statsJson();
 
     auto b = makeSystem("cq", cfg, 4, 9);
     b->restoreCheckpoint(path);
     EXPECT_EQ(b->stateDigest(), saved_digest);
     EXPECT_EQ(b->run(160), a_final);
-    EXPECT_EQ(statsJsonOf(*b), a_stats);
+    EXPECT_EQ(b->statsJson(), a_stats);
 
     std::filesystem::remove_all(dir);
 }

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -80,20 +79,6 @@ makeSpanSystem(const std::string &workload, const ExpConfig &cfg,
                unsigned cores, std::uint64_t seed)
 {
     return makeSpanSystem(profileFor(workload), cfg, cores, seed);
-}
-
-std::string
-statsJsonOf(System &sys)
-{
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *mem = open_memstream(&buf, &len);
-    EXPECT_NE(mem, nullptr);
-    sys.dumpStatsJson(mem);
-    std::fclose(mem);
-    std::string out(buf, len);
-    std::free(buf);
-    return out;
 }
 
 } // namespace
@@ -319,7 +304,7 @@ TEST(SpanSnapshot, SaveRestoreRunBitIdenticalWithSpansOff)
 
     auto cold = makeSys();
     const Cycle coldCycles = cold->run(200);
-    const std::string coldStats = statsJsonOf(*cold);
+    const std::string coldStats = cold->statsJson();
 
     auto warm = makeSys();
     warm->runWarmup(200, 50);
@@ -331,7 +316,7 @@ TEST(SpanSnapshot, SaveRestoreRunBitIdenticalWithSpansOff)
     Deser d(s.bytes());
     resumed->restore(d);
     EXPECT_EQ(resumed->run(200), coldCycles);
-    EXPECT_EQ(statsJsonOf(*resumed), coldStats);
+    EXPECT_EQ(resumed->statsJson(), coldStats);
     EXPECT_EQ(coldStats.find("\"spans\""), std::string::npos);
 }
 
@@ -343,7 +328,7 @@ TEST(SpanNetwork, PerMessageTypeLatencyHistogramsInStatsJson)
     auto sys = makeSpanSystem(pingPongProfile(), eagerConfig(), 2, 1);
     sys->run(200);
     sys->drain();
-    const std::string json = statsJsonOf(*sys);
+    const std::string json = sys->statsJson();
     for (const char *h : {"latGetX", "latFwdGetX", "latUnblock"}) {
         EXPECT_NE(json.find(std::string("\"") + h + "\""),
                   std::string::npos)

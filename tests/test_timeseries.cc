@@ -45,20 +45,6 @@ struct ScopedEnv
     const char *name_;
 };
 
-std::string
-statsJsonOf(System &sys)
-{
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *mem = open_memstream(&buf, &len);
-    EXPECT_NE(mem, nullptr);
-    sys.dumpStatsJson(mem);
-    std::fclose(mem);
-    std::string out(buf, len);
-    std::free(buf);
-    return out;
-}
-
 std::unique_ptr<System>
 makeSystem(const std::string &workload, const ExpConfig &cfg,
            unsigned cores, std::uint64_t seed)
@@ -429,7 +415,7 @@ TEST(TimeSeries, SaveRestoreMidIntervalResumesBitIdentically)
 
     auto cold = makeSystem("cq", cfg, cores, seed);
     cold->run(quota);
-    const std::string cold_stats = statsJsonOf(*cold);
+    const std::string cold_stats = cold->statsJson();
     ASSERT_NE(cold_stats.find("\"timeseries\""), std::string::npos);
 
     // The warm stop lands wherever iteration `warm` commits — almost
@@ -445,7 +431,7 @@ TEST(TimeSeries, SaveRestoreMidIntervalResumesBitIdentically)
     Deser d(s.bytes());
     resumed->restore(d);
     resumed->run(quota);
-    EXPECT_EQ(statsJsonOf(*resumed), cold_stats);
+    EXPECT_EQ(resumed->statsJson(), cold_stats);
 }
 
 TEST(TimeSeries, RestoreRejectsEngineMismatch)

@@ -22,7 +22,7 @@
  *       per-job table, redrawing until the sweep-end event; --once
  *       renders the current state once and exits.
  *
- * profile, span and ts read a stats JSON report (System::dumpStatsJson),
+ * profile, span and ts read a stats JSON report (System::statsJson),
  * the raw section object, or a JSONL stream of run records
  * ({"workload":...,"config":...,"<section>":{...}}); "-" reads stdin.
  * Exit status: 0 when something rendered, 1 when no record was found or
