@@ -1,9 +1,5 @@
 #include "common/trace.hh"
 
-#include <cstdarg>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/log.hh"
 
 namespace rowsim
@@ -61,8 +57,8 @@ jsonEscape(const std::string &s)
 Trace &
 Trace::instance()
 {
-    // One Trace per thread: sinks, ring and masks never cross threads,
-    // so concurrent sweep workers cannot interleave output.
+    // One Trace per thread: sinks never cross threads, so concurrent
+    // sweep workers cannot interleave output.
     static thread_local Trace t;
     return t;
 }
@@ -92,9 +88,6 @@ void
 Trace::scopeToJob(const std::string &key)
 {
     instance().closeAll();
-    sinkMask_ = 0;
-    ringMask_ = 0;
-    mask_ = 0;
     jobKey_ = key;
     envInitDone_ = false;
 }
@@ -112,12 +105,9 @@ Trace::initOnce(const TraceSetup &env)
         return;
     envInitDone_ = true;
 
-    Trace &t = instance();
-    if (env.ring)
-        t.enableRing(env.ring);
     if (!env.mask)
         return;
-    t.configure(env.mask);
+    Trace &t = instance();
 
     if (!env.file.empty()) {
         const std::string p = suffixJobPath(env.file, jobKey_);
@@ -183,53 +173,12 @@ Trace::emitJson(const std::string &record)
 }
 
 void
-Trace::enableRing(std::size_t capacity)
+Trace::text(TraceCategory cat, Cycle cycle, const char *line)
 {
-    ringCap_ = capacity;
-    ringNext_ = 0;
-    ringCount_ = 0;
-    ring_.assign(ringCap_, std::string());
-    ringMask_ = ringCap_ ? traceCategoryAll : 0;
-    mask_ = sinkMask_ | ringMask_;
-}
-
-std::vector<std::string>
-Trace::ringSnapshot() const
-{
-    std::vector<std::string> out;
-    out.reserve(ringCount_);
-    // Oldest first: the slot at ringNext_ is the oldest once full.
-    const std::size_t start =
-        ringCount_ == ringCap_ ? ringNext_ : 0;
-    for (std::size_t i = 0; i < ringCount_; i++)
-        out.push_back(ring_[(start + i) % ringCap_]);
-    return out;
-}
-
-void
-Trace::text(TraceCategory cat, Cycle cycle, const char *fmt, ...)
-{
-    if (!enabled(cat))
-        return;
-    va_list args;
-    va_start(args, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    if (ringCap_ && (ringMask_ & static_cast<std::uint32_t>(cat))) {
-        ring_[ringNext_] = strprintf("%12llu [%s] %s",
-                                     static_cast<unsigned long long>(cycle),
-                                     traceCategoryName(cat), buf);
-        ringNext_ = (ringNext_ + 1) % ringCap_;
-        if (ringCount_ < ringCap_)
-            ringCount_++;
-    }
-    if (!(sinkMask_ & static_cast<std::uint32_t>(cat)))
-        return;
     std::FILE *out = textSink_ ? textSink_ : stderr;
     std::fprintf(out, "%12llu [%s] %s\n",
                  static_cast<unsigned long long>(cycle),
-                 traceCategoryName(cat), buf);
+                 traceCategoryName(cat), line);
 }
 
 namespace
@@ -246,9 +195,7 @@ void
 Trace::complete(TraceCategory cat, int pid, int tid, const char *name,
                 Cycle start, Cycle end, const std::string &args_json)
 {
-    // Sink mask, not the effective mask: ring-only categories (crash
-    // diagnostics) must not leak into the Chrome trace.
-    if (!json_ || !(sinkMask_ & static_cast<std::uint32_t>(cat)))
+    if (!json_)
         return;
     emitJson(strprintf(
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%llu,"
@@ -264,7 +211,7 @@ Trace::span(TraceCategory cat, int pid, int tid, const char *name,
             std::uint64_t id, Cycle start, Cycle end,
             const std::string &args_json)
 {
-    if (!json_ || !(sinkMask_ & static_cast<std::uint32_t>(cat)))
+    if (!json_)
         return;
     const std::string escaped = jsonEscape(name);
     const char *catname = traceCategoryName(cat);
@@ -285,7 +232,7 @@ void
 Trace::instant(TraceCategory cat, int pid, int tid, const char *name,
                Cycle ts, const std::string &args_json)
 {
-    if (!json_ || !(sinkMask_ & static_cast<std::uint32_t>(cat)))
+    if (!json_)
         return;
     emitJson(strprintf(
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
@@ -299,7 +246,7 @@ void
 Trace::flow(TraceCategory cat, int pid, int tid, const char *name,
             std::uint64_t id, Cycle ts, char phase)
 {
-    if (!json_ || !(sinkMask_ & static_cast<std::uint32_t>(cat)))
+    if (!json_)
         return;
     // Flow-finish binds to the enclosing slice ("bp":"e") so the arrow
     // lands on the segment slice rather than needing a matching
@@ -317,7 +264,7 @@ void
 Trace::counter(TraceCategory cat, int pid, const char *name, Cycle ts,
                double value)
 {
-    if (!json_ || !(sinkMask_ & static_cast<std::uint32_t>(cat)))
+    if (!json_)
         return;
     emitJson(strprintf(
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"C\",\"ts\":%llu,"

@@ -1,10 +1,9 @@
 /**
  * @file
- * Runtime-gated, per-category trace facility.
+ * Per-category trace sinks.
  *
  * Inspired by gem5's DPRINTF flags and Chrome's trace-event format: every
- * trace point belongs to a TraceCategory and compiles to a single branch
- * on a category bitmask when tracing is off. Two sinks are supported and
+ * trace record belongs to a TraceCategory. Two sinks are supported and
  * can be active simultaneously:
  *
  *  - a human-readable, cycle-stamped text log (stderr by default, or a
@@ -16,7 +15,12 @@
  *
  * Categories are selected with the ROWSIM_TRACE environment variable
  * (comma-separated, e.g. ROWSIM_TRACE=atomic,coherence or "all") or
- * programmatically via SystemParams::traceCategories.
+ * programmatically via SystemParams::traceCategories. The gate is the
+ * System's: its Observer (sim/observer.hh) holds the categories and the
+ * crash-dump ring and decides which records reach these sinks. Only the
+ * sink files are per thread, so the Systems a thread runs one after the
+ * other write one text / JSON file, and parallel sweep jobs never share
+ * one (see scopeToJob).
  */
 
 #ifndef ROWSIM_COMMON_TRACE_HH
@@ -25,8 +29,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -60,7 +62,7 @@ std::uint32_t parseTraceCategories(const std::string &spec);
  *  ROWSIM_TRACE_FILE, ROWSIM_TRACE_JSON), resolved by resolveRunSpec. */
 struct TraceSetup
 {
-    /** Sink categories; 0 leaves the thread's mask as it is. */
+    /** Sink categories; 0 opens no sink. */
     std::uint32_t mask = 0;
     /** Retroactive ring capacity in events; 0 leaves the ring off. */
     std::size_t ring = 0;
@@ -84,23 +86,16 @@ constexpr int traceTidSpans = 4;
 class Trace
 {
   public:
+    /** This thread's sinks. */
     static Trace &instance();
-
-    /** Fast inline gates: one load + test, no function call. */
-    static bool anyEnabled() { return mask_ != 0; }
-    static bool
-    enabled(TraceCategory c)
-    {
-        return (mask_ & static_cast<std::uint32_t>(c)) != 0;
-    }
 
     /**
      * One-time initialisation from the environment's request; idempotent
      * per thread (until scopeToJob). System calls this at construction
      * so env-var tracing works for every bench and example without code
-     * changes. When @p env selects categories and names no JSON path,
-     * the Chrome trace defaults to "rowsim.trace.json" in the working
-     * directory.
+     * changes. When @p env selects categories, the text sink opens its
+     * file (if named) and the Chrome trace opens its JSON, by default
+     * "rowsim.trace.json" in the working directory.
      */
     static void initOnce(const TraceSetup &env);
 
@@ -117,40 +112,6 @@ class Trace
      *  sinks (ROWSIM_PROFILE_JSON, ROWSIM_SPANS_JSON) consult it. */
     static const std::string &jobKey();
 
-    /** Programmatic configuration of the *sink* categories (tests,
-     *  SystemParams). The effective gate mask also includes the ring
-     *  categories, so enabling the ring keeps trace points live even
-     *  with every sink off. */
-    void
-    configure(std::uint32_t mask)
-    {
-        sinkMask_ = mask;
-        mask_ = sinkMask_ | ringMask_;
-    }
-
-    /**
-     * Retroactive ring buffer for crash diagnostics: keep the last
-     * @p capacity formatted text events in memory (all categories, no
-     * sink required). A panic dump replays them so the events *leading
-     * up to* a violation are visible after the fact. 0 disables.
-     * Env: ROWSIM_TRACE_RING=<events>.
-     */
-    void enableRing(std::size_t capacity);
-    /** Set this thread's whole gate: sink categories @p sink_mask and a
-     *  ring of @p ring events. The ring is re-created only when its
-     *  capacity changes, so re-applying an unchanged gate keeps the
-     *  retained events. */
-    void
-    applyGate(std::uint32_t sink_mask, std::size_t ring)
-    {
-        if (ring != ringCap_)
-            enableRing(ring);
-        configure(sink_mask);
-    }
-    std::size_t ringCapacity() const { return ringCap_; }
-    /** Oldest-first snapshot of the retained events. */
-    std::vector<std::string> ringSnapshot() const;
-
     /** Redirect the text sink. @p owned: close on replacement/exit. */
     void setTextSink(std::FILE *f, bool owned);
 
@@ -161,21 +122,14 @@ class Trace
     /** Flush + close every sink (called from the destructor). */
     void closeAll();
 
-    /**
-     * The current simulated cycle, published by System::tick, so trace
-     * points in cycle-less helpers (queue allocate/free, predictors) can
-     * still stamp their events.
-     */
-    static Cycle now() { return now_; }
-    static void setNow(Cycle c) { now_ = c; }
-
-    /** Cycle-stamped printf-style text line. */
-    void text(TraceCategory cat, Cycle cycle, const char *fmt, ...)
-        __attribute__((format(printf, 4, 5)));
+    /** One cycle-stamped text line (the caller formatted @p line). */
+    void text(TraceCategory cat, Cycle cycle, const char *line);
 
     // ----- Chrome trace-event emission -------------------------------
-    // `args_json` is either empty or a complete JSON object, e.g.
-    // "{\"seq\":12}". Cycles map 1:1 to trace microseconds.
+    // Written when the JSON sink is open; the caller gates on its
+    // System's categories (sim/observer.hh). `args_json` is either
+    // empty or a complete JSON object, e.g. "{\"seq\":12}". Cycles map
+    // 1:1 to trace microseconds.
 
     /** Complete ("X") duration event — for non-overlapping intervals on
      *  one track (e.g. a core's sequential lock holds). */
@@ -218,15 +172,6 @@ class Trace
 
     void emitJson(const std::string &record);
 
-    // The mask and cycle are static so the inline gates touch no
-    // instance state (and need no instance() call); thread_local so
-    // concurrent sweep workers each gate and stamp their own System
-    // without racing. mask_ is the union of the sink categories and the
-    // ring categories.
-    static inline thread_local std::uint32_t mask_ = 0;
-    static inline thread_local std::uint32_t sinkMask_ = 0;
-    static inline thread_local std::uint32_t ringMask_ = 0;
-    static inline thread_local Cycle now_ = 0;
     /** Per-thread "initOnce already ran" latch. */
     static inline thread_local bool envInitDone_ = false;
     /** This thread's sweep job key ("" on the main thread). */
@@ -237,11 +182,6 @@ class Trace
     std::FILE *json_ = nullptr;
     bool jsonFirst_ = true;
     std::uint64_t events_ = 0;
-
-    std::vector<std::string> ring_; ///< ringCap_ slots, circular
-    std::size_t ringCap_ = 0;
-    std::size_t ringNext_ = 0;
-    std::size_t ringCount_ = 0;
 };
 
 /** Escape a string for embedding in a JSON string literal. */
@@ -254,56 +194,6 @@ std::string jsonEscape(const std::string &s);
  * path unchanged.
  */
 std::string suffixJobPath(const std::string &path, const std::string &key);
-
-/**
- * Trace-point macros. All of them compile to one branch on the category
- * mask when tracing is off; argument expressions (including strprintf
- * calls building args) are only evaluated when the category is live.
- */
-#define ROWSIM_TRACE(cat, cycle, ...)                                     \
-    do {                                                                  \
-        if (::rowsim::Trace::enabled(cat))                                \
-            ::rowsim::Trace::instance().text((cat), (cycle),              \
-                                             __VA_ARGS__);                \
-    } while (0)
-
-/** Like ROWSIM_TRACE but stamped with Trace::now() (for call sites with
- *  no cycle in scope). */
-#define ROWSIM_TRACE_AT(cat, ...)                                         \
-    do {                                                                  \
-        if (::rowsim::Trace::enabled(cat))                                \
-            ::rowsim::Trace::instance().text(                             \
-                (cat), ::rowsim::Trace::now(), __VA_ARGS__);              \
-    } while (0)
-
-#define ROWSIM_TRACE_COMPLETE(cat, pid, tid, name, start, end, args)      \
-    do {                                                                  \
-        if (::rowsim::Trace::enabled(cat))                                \
-            ::rowsim::Trace::instance().complete(                         \
-                (cat), (pid), (tid), (name), (start), (end), (args));     \
-    } while (0)
-
-#define ROWSIM_TRACE_SPAN(cat, pid, tid, name, id, start, end, args)      \
-    do {                                                                  \
-        if (::rowsim::Trace::enabled(cat))                                \
-            ::rowsim::Trace::instance().span((cat), (pid), (tid), (name), \
-                                             (id), (start), (end),        \
-                                             (args));                     \
-    } while (0)
-
-#define ROWSIM_TRACE_INSTANT(cat, pid, tid, name, ts, args)               \
-    do {                                                                  \
-        if (::rowsim::Trace::enabled(cat))                                \
-            ::rowsim::Trace::instance().instant((cat), (pid), (tid),      \
-                                                (name), (ts), (args));    \
-    } while (0)
-
-#define ROWSIM_TRACE_COUNTER(cat, pid, name, ts, value)                   \
-    do {                                                                  \
-        if (::rowsim::Trace::enabled(cat))                                \
-            ::rowsim::Trace::instance().counter((cat), (pid), (name),     \
-                                                (ts), (value));           \
-    } while (0)
 
 } // namespace rowsim
 

@@ -1,7 +1,7 @@
 #include "cpu/atomic_queue.hh"
 
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
 
 namespace rowsim
@@ -14,7 +14,7 @@ AtomicQueue::AtomicQueue(unsigned entries)
 }
 
 unsigned
-AtomicQueue::allocate(SeqNum seq, Addr pc, Cycle now)
+AtomicQueue::allocate(SeqNum seq, Addr pc, Cycle now, Observer *obs)
 {
     ROWSIM_ASSERT(!full(), "AQ allocate when full");
     unsigned idx = tailIdx;
@@ -26,7 +26,7 @@ AtomicQueue::allocate(SeqNum seq, Addr pc, Cycle now)
     e.dispatchCycle = now;
     tailIdx = (tailIdx + 1) % capacity;
     count++;
-    ROWSIM_TRACE(TraceCategory::Queue, now,
+    ROWSIM_TRACE(obs, TraceCategory::Queue, now,
                  "aq alloc seq=%llu pc=%#llx occ=%u/%u",
                  static_cast<unsigned long long>(seq),
                  static_cast<unsigned long long>(pc), count, capacity);
@@ -41,7 +41,7 @@ AtomicQueue::head()
 }
 
 void
-AtomicQueue::freeHead(SeqNum seq)
+AtomicQueue::freeHead(SeqNum seq, Cycle now, Observer *obs)
 {
     ROWSIM_ASSERT(!empty(), "AQ freeHead on empty queue");
     AqEntry &e = slots[headIdx];
@@ -52,8 +52,9 @@ AtomicQueue::freeHead(SeqNum seq)
     e.valid = false;
     headIdx = (headIdx + 1) % capacity;
     count--;
-    ROWSIM_TRACE_AT(TraceCategory::Queue, "aq free seq=%llu occ=%u/%u",
-                    static_cast<unsigned long long>(seq), count, capacity);
+    ROWSIM_TRACE(obs, TraceCategory::Queue, now,
+                 "aq free seq=%llu occ=%u/%u",
+                 static_cast<unsigned long long>(seq), count, capacity);
 }
 
 bool

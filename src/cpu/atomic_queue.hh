@@ -25,6 +25,7 @@ namespace rowsim
 
 class Ser;
 class Deser;
+class Observer;
 
 /** One in-flight atomic RMW. */
 struct AqEntry
@@ -88,11 +89,13 @@ class AtomicQueue
     unsigned size() const { return count; }
     unsigned entries() const { return capacity; }
 
-    /** Allocate the tail entry at dispatch. @return entry index. */
-    unsigned allocate(SeqNum seq, Addr pc, Cycle now);
+    /** Allocate the tail entry at dispatch (traced to the core's
+     *  observer @p obs, if any). @return entry index. */
+    unsigned allocate(SeqNum seq, Addr pc, Cycle now,
+                      Observer *obs = nullptr);
 
     /** Free the head entry at unlock. @pre head().seq == seq. */
-    void freeHead(SeqNum seq);
+    void freeHead(SeqNum seq, Cycle now = 0, Observer *obs = nullptr);
 
     AqEntry &entry(unsigned idx) { return slots[idx]; }
     const AqEntry &entry(unsigned idx) const { return slots[idx]; }

@@ -3,11 +3,9 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "mem/memsystem.hh"
-#include "sim/checker.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
-#include "sim/span.hh"
 
 namespace rowsim
 {
@@ -186,23 +184,11 @@ void
 Core::acquireLock(RobEntry &e, FillSource source, Cycle now)
 {
     AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
-    ROWSIM_CHECK_EVENT(checkMask_, CheckCategory::Locks,
-                       cache->lineState(a.line()) == CacheState::Modified,
-                       "core%u seq %llu locking line %#llx not held in M",
-                       coreId, static_cast<unsigned long long>(e.seq),
-                       static_cast<unsigned long long>(a.line()));
     a.locked = true;
     a.lockCycle = now;
     a.lockSource = source;
-    if (spans_ && a.spanId)
-        spans_->transition(a.spanId, SpanSeg::LockHeld, now);
-    if (prof_ && prof_->on(ProfCategory::Lines))
-        prof_->lineAcquire(a.line(), coreId);
-    ROWSIM_TRACE(TraceCategory::Atomic, now,
-                 "core%u lock seq=%llu line=%#llx source=%d", coreId,
-                 static_cast<unsigned long long>(e.seq),
-                 static_cast<unsigned long long>(a.line()),
-                 static_cast<int>(source));
+    if (obs_)
+        obs_->atomicLocked(coreId, e.seq, a, source, cache, now);
 
     // Directory latency detector (§IV-C): a fill from a remote private
     // cache whose 14-bit-wrapped latency exceeds the threshold means the
@@ -266,8 +252,8 @@ Core::pokeWaitingLocks(Cycle now)
         } else {
             // The line was stolen while waiting its turn: refetch.
             e.astate = AState::MemIssued;
-            if (spans_ && a.spanId)
-                spans_->transition(a.spanId, SpanSeg::Execute, now);
+            if (obs_ && a.spanId)
+                obs_->atomicPhase(a.spanId, SpanSeg::Execute, now);
             MemAccess m;
             m.addr = a.addr;
             m.token = token(e);
@@ -305,8 +291,8 @@ Core::atomicLineReady(std::uint64_t tok, Addr line, FillSource source,
         // line stays unlocked in M; we lock when our turn comes, or
         // refetch if it gets stolen meanwhile.
         e.astate = AState::WaitLock;
-        if (spans_ && a.spanId)
-            spans_->transition(a.spanId, SpanSeg::UnblockWait, now);
+        if (obs_ && a.spanId)
+            obs_->atomicPhase(a.spanId, SpanSeg::UnblockWait, now);
         lockWaits_++;
         return;
     }
@@ -337,8 +323,6 @@ Core::tryForceUnlock(Addr line, Cycle now)
     setIssued(e, false);
     e.forwardedAtomic = false;
     e.lazySelected = true; // replay lazily: the line is contended
-    if (spans_ && a.spanId)
-        spans_->replay(a.spanId, now);
     e.astate = AState::WaitOperands;
     e.reissueReadyAt = invalidCycle;
     iqOccupancy++; // back into the issue queue for the replay
@@ -348,16 +332,8 @@ Core::tryForceUnlock(Addr line, Cycle now)
     park(e, WakeList::Retry);
     parkTail_.push_back(seq);
     forcedUnlocks_++;
-    ROWSIM_TRACE(TraceCategory::Atomic, now,
-                 "core%u forcedUnlock seq=%llu line=%#llx (replaying lazy)",
-                 coreId, static_cast<unsigned long long>(seq),
-                 static_cast<unsigned long long>(lineAlign(line)));
-    ROWSIM_TRACE_INSTANT(
-        TraceCategory::Atomic, static_cast<int>(coreId), traceTidAtomics,
-        "forcedUnlock", now,
-        strprintf("{\"seq\":%llu,\"line\":\"%#llx\"}",
-                  static_cast<unsigned long long>(seq),
-                  static_cast<unsigned long long>(lineAlign(line))));
+    if (obs_)
+        obs_->atomicForcedUnlock(coreId, seq, a.spanId, lineAlign(line), now);
     return true;
 }
 
@@ -434,8 +410,8 @@ Core::commitAtomic(RobEntry &e, Cycle now)
     // everything atomicUnlock needs in the AQ entry.
     a.newValue = e.atomicNewValue;
     a.sqIdx = e.sqIdx;
-    if (spans_ && a.spanId) {
-        spans_->close(a.spanId, now);
+    if (obs_ && a.spanId) {
+        obs_->atomicCommitted(a.spanId, now);
         a.spanId = 0; // post-commit unlock traffic is outside the span
     }
     pendingUnlocks.emplace(now + 1, e.seq);
@@ -446,12 +422,16 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
 {
     AqEntry &a = aq.head();
     ROWSIM_ASSERT(a.seq == seq, "unlock out of AQ order");
-    ROWSIM_CHECK_EVENT(checkMask_, CheckCategory::Locks,
-                       cache->lineState(a.line()) == CacheState::Modified,
-                       "core%u seq %llu unlocking line %#llx no longer in M "
-                       "(lock lost while held)",
-                       coreId, static_cast<unsigned long long>(seq),
-                       static_cast<unsigned long long>(a.line()));
+    // Checked, traced and profiled before the STU write, while the
+    // line is still locked in M.
+    if (obs_ && obs_->atomicUnlocked(coreId, seq, a, cache, now)) {
+        // Per-PC profile: the Fig. 6 latency distributions.
+        atomicDispatchToIssueHist_.sample(
+            static_cast<double>(a.issueCycle - a.dispatchCycle));
+        atomicIssueToLockHist_.sample(
+            static_cast<double>(a.lockCycle - a.issueCycle));
+        atomicLockToUnlockHist_.sample(static_cast<double>(now - a.lockCycle));
+    }
 
     // STU write: the line is locked and Modified in the L1D, so the
     // write happens immediately and atomically releases the lock.
@@ -477,75 +457,15 @@ Core::atomicUnlock(SeqNum seq, Cycle now)
         atomicLockToUnlock_.sample(static_cast<double>(now - a.lockCycle));
         atomicDispatchToUnlock_.sample(
             static_cast<double>(now - a.dispatchCycle));
-        // Chrome trace: the lock hold interval (sequential per core) and
-        // the atomic's whole AQ residency (overlapping -> async span).
-        ROWSIM_TRACE_COMPLETE(
-            TraceCategory::Atomic, static_cast<int>(coreId),
-            traceTidAtomics, "lock", a.lockCycle, now,
-            strprintf("{\"seq\":%llu,\"line\":\"%#llx\",\"contended\":%d,"
-                      "\"oracle\":%d}",
-                      static_cast<unsigned long long>(seq),
-                      static_cast<unsigned long long>(line),
-                      contended ? 1 : 0, a.oracleContended ? 1 : 0));
-        ROWSIM_TRACE_SPAN(
-            TraceCategory::Atomic, static_cast<int>(coreId),
-            traceTidAtomics, "aqResidency", seq, a.dispatchCycle, now,
-            strprintf("{\"seq\":%llu,\"lazy\":%d}",
-                      static_cast<unsigned long long>(seq),
-                      a.predictedContended ? 1 : 0));
-    }
-    ROWSIM_TRACE(TraceCategory::Atomic, now,
-                 "core%u unlock seq=%llu line=%#llx held=%llu "
-                 "contended=%d oracle=%d",
-                 coreId, static_cast<unsigned long long>(seq),
-                 static_cast<unsigned long long>(line),
-                 static_cast<unsigned long long>(
-                     a.lockCycle == invalidCycle ? 0 : now - a.lockCycle),
-                 contended ? 1 : 0, a.oracleContended ? 1 : 0);
-
-    if (prof_) {
-        if (prof_->on(ProfCategory::Lines) &&
-            a.lockCycle != invalidCycle) {
-            prof_->lineRelease(line, now - a.lockCycle, contended);
-        }
-        if (prof_->on(ProfCategory::Pcs) &&
-            a.issueCycle != invalidCycle &&
-            a.lockCycle != invalidCycle) {
-            const std::uint64_t d2i = a.issueCycle - a.dispatchCycle;
-            const std::uint64_t i2l = a.lockCycle - a.issueCycle;
-            const std::uint64_t l2u = now - a.lockCycle;
-            prof_->pcSample(a.pc, d2i, i2l, l2u);
-            atomicDispatchToIssueHist_.sample(static_cast<double>(d2i));
-            atomicIssueToLockHist_.sample(static_cast<double>(i2l));
-            atomicLockToUnlockHist_.sample(static_cast<double>(l2u));
-        }
-        if (prof_->on(ProfCategory::Row) &&
-            params.atomicPolicy == AtomicPolicy::RoW) {
-            // Mispredict cost: a predicted-lazy atomic that saw no
-            // contention wasted its ready->issue wait; a predicted-eager
-            // atomic that hit contention paid a contended acquisition.
-            std::uint64_t cost = 0;
-            if (a.predictedContended && !contended &&
-                a.readyCycle != invalidCycle &&
-                a.issueCycle != invalidCycle) {
-                cost = a.issueCycle - a.readyCycle;
-            } else if (!a.predictedContended && contended &&
-                       a.issueCycle != invalidCycle &&
-                       a.lockCycle != invalidCycle) {
-                cost = a.lockCycle - a.issueCycle;
-            }
-            prof_->rowOutcome(a.pc, a.predictedContended, contended,
-                              cost);
-        }
     }
 
     if (params.atomicPolicy == AtomicPolicy::RoW)
-        rowPredictor.update(a.pc, contended, now);
+        rowPredictor.update(a.pc, contended, now, obs_);
     if (params.atomicPolicy == AtomicPolicy::Fenced)
         retireBarrier(seq);
 
     a.locked = false;
-    aq.freeHead(seq);
+    aq.freeHead(seq, now, obs_);
     storeWritten(seq, now);
     cache->unlockNotify(line, now);
 }
@@ -571,7 +491,7 @@ Core::commitStage(Cycle now)
         }
 
         if (e.lqIdx >= 0) {
-            lq.freeHead(seq);
+            lq.freeHead(seq, now, obs_);
             wakeLazyHead();
         }
         if (e.op.cls == OpClass::Store) {
@@ -643,16 +563,6 @@ Core::classifyCommitStall() const
     return CpiBucket::Exec;
 }
 
-void
-Core::profileCommitSlots(unsigned retired)
-{
-    prof_->cpiSlots(coreId, CpiBucket::Retired, retired);
-    if (retired < params.commitWidth) {
-        prof_->cpiSlots(coreId, classifyCommitStall(),
-                        params.commitWidth - retired);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Store drain (SB -> L1D)
 // ---------------------------------------------------------------------
@@ -686,12 +596,9 @@ Core::storeWritten(SeqNum store_seq, Cycle now)
             acquireLock(e, FillSource::Forwarded, now);
         } else {
             e.astate = AState::WaitLock;
-            if (spans_) {
-                AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
-                if (a.spanId)
-                    spans_->transition(a.spanId, SpanSeg::UnblockWait,
-                                       now);
-            }
+            const AqEntry &a = aq.entry(static_cast<unsigned>(e.aqIdx));
+            if (obs_ && a.spanId)
+                obs_->atomicPhase(a.spanId, SpanSeg::UnblockWait, now);
             lockWaits_++;
         }
     }
@@ -704,14 +611,14 @@ Core::drainStores(Cycle now)
     while (SqEntry *h = sq.headEntry()) {
         if (!h->written)
             break;
-        sq.freeHead(h->seq);
+        sq.freeHead(h->seq, now, obs_);
         wakeLazyHead();
     }
     SqEntry *h = sq.headEntry();
     if (h && h->committed && !h->written && !h->writeInFlight &&
         !h->isAtomic) {
         h->writeInFlight = true;
-        ROWSIM_TRACE(TraceCategory::Pipeline, now,
+        ROWSIM_TRACE(obs_, TraceCategory::Pipeline, now,
                      "core%u sb-drain seq=%llu addr=%#llx occ=%u",
                      coreId, static_cast<unsigned long long>(h->seq),
                      static_cast<unsigned long long>(h->addr),
@@ -813,8 +720,8 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         e.astate = AState::WaitStore;
         e.waitStoreSeq = unknown_older ? 0 : src->seq;
         e.reissueReadyAt = invalidCycle;
-        if (spans_ && a.spanId)
-            spans_->transition(a.spanId, SpanSeg::SbDrain, now);
+        if (obs_ && a.spanId)
+            obs_->atomicPhase(a.spanId, SpanSeg::SbDrain, now);
         return false;
     }
     if (src) {
@@ -832,12 +739,6 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         stu.valueReady = true;
         e.astate = AState::ExecDoneFwd;
         setIssued(e, true);
-        if (spans_ && a.spanId) {
-            // Value consumed now; the remaining wait until the
-            // forwarding store writes is an SB-drain dependency.
-            spans_->setLine(a.spanId, a.line());
-            spans_->transition(a.spanId, SpanSeg::SbDrain, now);
-        }
         fwdLockWaiters.emplace(src->seq, e.seq);
         LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
         l.issued = true;
@@ -846,12 +747,10 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         scheduleCompletion(e.seq, now + 2);
         iqOccupancy--;
         atomicsForwarded_++;
-        ROWSIM_TRACE(TraceCategory::Atomic, now,
-                     "core%u forwarded seq=%llu line=%#llx from "
-                     "store seq=%llu",
-                     coreId, static_cast<unsigned long long>(e.seq),
-                     static_cast<unsigned long long>(a.line()),
-                     static_cast<unsigned long long>(src->seq));
+        if (obs_) {
+            obs_->atomicForwarded(coreId, e.seq, a.spanId, a.line(),
+                                  src->seq, now);
+        }
         return true;
     }
     if (a.issueCycle == invalidCycle) {
@@ -859,11 +758,10 @@ Core::atomicExecute(RobEntry &e, Cycle now)
         sampleIndependentInsts(e);
     }
     (e.lazySelected ? atomicsIssuedLazy_ : atomicsIssuedEager_)++;
-    ROWSIM_TRACE(TraceCategory::Atomic, now,
-                 "core%u issue seq=%llu line=%#llx mode=%s",
-                 coreId, static_cast<unsigned long long>(e.seq),
-                 static_cast<unsigned long long>(a.line()),
-                 e.lazySelected ? "lazy" : "eager");
+    if (obs_) {
+        obs_->atomicIssued(coreId, e.seq, a.spanId, a.line(),
+                           e.lazySelected, now);
+    }
 
     a.issuedCycle14 = static_cast<std::uint16_t>(
         now & ((1u << params.row.timestampBits) - 1));
@@ -873,11 +771,6 @@ Core::atomicExecute(RobEntry &e, Cycle now)
     LqEntry &l = lq.entry(static_cast<unsigned>(e.lqIdx));
     l.issued = true;
     l.addr = a.addr;
-
-    if (spans_ && a.spanId) {
-        spans_->setLine(a.spanId, a.line());
-        spans_->transition(a.spanId, SpanSeg::Execute, now);
-    }
 
     MemAccess m;
     m.addr = a.addr;
@@ -927,8 +820,8 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
             }
         }
         e.astate = AState::WaitLazy;
-        if (spans_ && a.spanId)
-            spans_->transition(a.spanId, SpanSeg::AqWait, now);
+        if (obs_ && a.spanId)
+            obs_->atomicPhase(a.spanId, SpanSeg::AqWait, now);
         return false;
     }
 
@@ -940,9 +833,8 @@ Core::tryIssueAtomic(RobEntry &e, Cycle now)
         met = lazyConditionMet(e);
         // Refine the wait: once the atomic is the oldest memory op, the
         // remaining wait is purely the SB drain.
-        if (!met && spans_ && a.spanId &&
-            lq.isOldest(e.seq))
-            spans_->transition(a.spanId, SpanSeg::SbDrain, now);
+        if (!met && obs_ && a.spanId && lq.isOldest(e.seq))
+            obs_->atomicPhase(a.spanId, SpanSeg::SbDrain, now);
     } else {
         ROWSIM_ASSERT(e.astate == AState::WaitStore,
                       "atomic issue in unexpected state %d",
@@ -1304,7 +1196,7 @@ Core::dispatchStage(Cycle now)
 
         switch (e.op.cls) {
           case OpClass::Load:
-            e.lqIdx = static_cast<int>(lq.allocate(seq, false));
+            e.lqIdx = static_cast<int>(lq.allocate(seq, false, now, obs_));
             // Record the StoreSet-predicted dependence now; the LFST is
             // only meaningful at dispatch time.
             e.waitStoreSeq = storeSet.dependence(e.op.pc);
@@ -1312,39 +1204,30 @@ Core::dispatchStage(Cycle now)
                 loadsDispatchedWithDep_++;
             break;
           case OpClass::Store: {
-            e.sqIdx = static_cast<int>(sq.allocate(seq, false));
+            e.sqIdx = static_cast<int>(sq.allocate(seq, false, now, obs_));
             e.ssSet = storeSet.setOf(e.op.pc);
             storeSet.storeFetched(e.ssSet, seq);
             break;
           }
           case OpClass::AtomicRMW: {
-            e.lqIdx = static_cast<int>(lq.allocate(seq, true));
-            e.sqIdx = static_cast<int>(sq.allocate(seq, true));
-            e.aqIdx = static_cast<int>(aq.allocate(seq, e.op.pc, now));
+            e.lqIdx = static_cast<int>(lq.allocate(seq, true, now, obs_));
+            e.sqIdx = static_cast<int>(sq.allocate(seq, true, now, obs_));
+            e.aqIdx =
+                static_cast<int>(aq.allocate(seq, e.op.pc, now, obs_));
             e.astate = AState::WaitOperands;
             e.lazySelected = atomicSelectLazy(e.op);
             aq.entry(static_cast<unsigned>(e.aqIdx)).predictedContended =
                 e.lazySelected;
-            if (spans_) {
+            if (obs_) {
                 aq.entry(static_cast<unsigned>(e.aqIdx)).spanId =
-                    spans_->open(coreId, e.op.pc, e.lazySelected, now);
+                    obs_->atomicDispatched(coreId, seq, e.op.pc,
+                                           e.lazySelected, now);
             }
             if (params.atomicPolicy == AtomicPolicy::Fenced)
                 memBarriers.insert(seq);
             atomicsDispatched_++;
             if (e.lazySelected)
                 atomicsPredictedContended_++;
-            ROWSIM_TRACE(TraceCategory::Atomic, now,
-                         "core%u dispatch seq=%llu pc=%#llx policy=%s",
-                         coreId, static_cast<unsigned long long>(seq),
-                         static_cast<unsigned long long>(e.op.pc),
-                         e.lazySelected ? "lazy" : "eager");
-            ROWSIM_TRACE_INSTANT(
-                TraceCategory::Atomic, static_cast<int>(coreId),
-                traceTidAtomics, "dispatch", now,
-                strprintf("{\"seq\":%llu,\"policy\":\"%s\"}",
-                          static_cast<unsigned long long>(seq),
-                          e.lazySelected ? "lazy" : "eager"));
             break;
           }
           case OpClass::Fence:
@@ -1388,13 +1271,12 @@ Core::tick(Cycle now)
         atomicUnlock(seq, now);
     }
 
-    if (prof_ && prof_->on(ProfCategory::Cpi)) {
-        const std::uint64_t before = committedInsts;
-        commitStage(now);
-        profileCommitSlots(
-            static_cast<unsigned>(committedInsts - before));
-    } else {
-        commitStage(now);
+    const std::uint64_t before = committedInsts;
+    commitStage(now);
+    if (obs_) {
+        obs_->commitSlots(coreId,
+                          static_cast<unsigned>(committedInsts - before),
+                          [this] { return classifyCommitStall(); });
     }
     drainStores(now);
     issueStage(now);

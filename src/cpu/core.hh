@@ -49,7 +49,7 @@ namespace rowsim
 {
 
 class FunctionalMemory;
-class SpanTracker;
+class Observer;
 
 class Core : public MemClient
 {
@@ -100,12 +100,8 @@ class Core : public MemClient
 
     StatGroup &stats() { return stats_; }
     ContentionPredictor &predictor() { return rowPredictor; }
-    /** Attach the attribution profiler (System::setupProfiling). */
-    void setProfiler(Profiler *p) { prof_ = p; }
-    /** Attach the span tracker (System::setupSpans). */
-    void setSpans(SpanTracker *s) { spans_ = s; }
-    /** The owning System's check mask (System::setupSelfChecking). */
-    void setCheckMask(std::uint32_t mask) { checkMask_ = mask; }
+    /** Attach the owning System's observer (null: observability off). */
+    void setObserver(Observer *obs) { obs_ = obs; }
     BranchPredictor &branchPredictor() { return branchPred; }
     StoreSet &storeSets() { return storeSet; }
     const AtomicQueue &atomicQueue() const { return aq; }
@@ -293,9 +289,6 @@ class Core : public MemClient
     void sampleIndependentInsts(const RobEntry &e);
     /** CPI stack: why could the commit head not retire this cycle? */
     CpiBucket classifyCommitStall() const;
-    /** CPI stack: charge this cycle's commitWidth slots (called once
-     *  per tick when the cpi profile category is on). */
-    void profileCommitSlots(unsigned retired);
 
     CoreId coreId;
     CoreParams params;
@@ -365,9 +358,7 @@ class Core : public MemClient
     std::uint64_t committedAtomicCount = 0;
     std::uint64_t iterations = 0;
 
-    Profiler *prof_ = nullptr;
-    SpanTracker *spans_ = nullptr;
-    std::uint32_t checkMask_ = 0;
+    Observer *obs_ = nullptr;
 
     StatGroup stats_;
     // Dispatch and issue.

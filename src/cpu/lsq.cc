@@ -1,7 +1,7 @@
 #include "cpu/lsq.hh"
 
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
 
 namespace rowsim
@@ -13,7 +13,7 @@ LoadQueue::LoadQueue(unsigned entries) : capacity(entries), slots(entries)
 }
 
 unsigned
-LoadQueue::allocate(SeqNum seq, bool is_atomic)
+LoadQueue::allocate(SeqNum seq, bool is_atomic, Cycle now, Observer *obs)
 {
     ROWSIM_ASSERT(!full(), "LQ allocate when full");
     unsigned idx = tailIdx;
@@ -24,13 +24,14 @@ LoadQueue::allocate(SeqNum seq, bool is_atomic)
     e.isAtomic = is_atomic;
     tailIdx = (tailIdx + 1) % capacity;
     count++;
-    ROWSIM_TRACE_AT(TraceCategory::Queue, "lq alloc seq=%llu occ=%u/%u",
-                    static_cast<unsigned long long>(seq), count, capacity);
+    ROWSIM_TRACE(obs, TraceCategory::Queue, now,
+                 "lq alloc seq=%llu occ=%u/%u",
+                 static_cast<unsigned long long>(seq), count, capacity);
     return idx;
 }
 
 void
-LoadQueue::freeHead(SeqNum seq)
+LoadQueue::freeHead(SeqNum seq, Cycle now, Observer *obs)
 {
     ROWSIM_ASSERT(!empty(), "LQ freeHead on empty queue");
     LqEntry &e = slots[headIdx];
@@ -38,8 +39,9 @@ LoadQueue::freeHead(SeqNum seq)
     e.valid = false;
     headIdx = (headIdx + 1) % capacity;
     count--;
-    ROWSIM_TRACE_AT(TraceCategory::Queue, "lq free seq=%llu occ=%u/%u",
-                    static_cast<unsigned long long>(seq), count, capacity);
+    ROWSIM_TRACE(obs, TraceCategory::Queue, now,
+                 "lq free seq=%llu occ=%u/%u",
+                 static_cast<unsigned long long>(seq), count, capacity);
 }
 
 SeqNum
@@ -60,7 +62,8 @@ StoreQueue::StoreQueue(unsigned entries) : capacity(entries), slots(entries)
 }
 
 unsigned
-StoreQueue::allocate(SeqNum seq, bool is_atomic)
+StoreQueue::allocate(SeqNum seq, bool is_atomic, Cycle now,
+                     Observer *obs)
 {
     ROWSIM_ASSERT(!full(), "SQ allocate when full");
     unsigned idx = tailIdx;
@@ -71,13 +74,14 @@ StoreQueue::allocate(SeqNum seq, bool is_atomic)
     e.isAtomic = is_atomic;
     tailIdx = (tailIdx + 1) % capacity;
     count++;
-    ROWSIM_TRACE_AT(TraceCategory::Queue, "sq alloc seq=%llu occ=%u/%u",
-                    static_cast<unsigned long long>(seq), count, capacity);
+    ROWSIM_TRACE(obs, TraceCategory::Queue, now,
+                 "sq alloc seq=%llu occ=%u/%u",
+                 static_cast<unsigned long long>(seq), count, capacity);
     return idx;
 }
 
 void
-StoreQueue::freeHead(SeqNum seq)
+StoreQueue::freeHead(SeqNum seq, Cycle now, Observer *obs)
 {
     ROWSIM_ASSERT(!empty(), "SQ freeHead on empty queue");
     SqEntry &e = slots[headIdx];
@@ -85,8 +89,9 @@ StoreQueue::freeHead(SeqNum seq)
     e.valid = false;
     headIdx = (headIdx + 1) % capacity;
     count--;
-    ROWSIM_TRACE_AT(TraceCategory::Queue, "sq free seq=%llu occ=%u/%u",
-                    static_cast<unsigned long long>(seq), count, capacity);
+    ROWSIM_TRACE(obs, TraceCategory::Queue, now,
+                 "sq free seq=%llu occ=%u/%u",
+                 static_cast<unsigned long long>(seq), count, capacity);
 }
 
 SqEntry *

@@ -20,6 +20,7 @@ namespace rowsim
 
 class Ser;
 class Deser;
+class Observer;
 
 /** Word-granular address (all simulated accesses are 8-byte words). */
 constexpr Addr
@@ -68,9 +69,12 @@ class LoadQueue
     bool empty() const { return count == 0; }
     unsigned size() const { return count; }
 
-    unsigned allocate(SeqNum seq, bool is_atomic);
+    /** Allocate the tail at cycle @p now (traced to the core's
+     *  observer @p obs, if any). @return entry index. */
+    unsigned allocate(SeqNum seq, bool is_atomic, Cycle now = 0,
+                      Observer *obs = nullptr);
     /** Deallocate the head at commit. @pre head seq == @p seq. */
-    void freeHead(SeqNum seq);
+    void freeHead(SeqNum seq, Cycle now = 0, Observer *obs = nullptr);
 
     LqEntry &entry(unsigned idx) { return slots[idx]; }
     const LqEntry &entry(unsigned idx) const { return slots[idx]; }
@@ -123,9 +127,11 @@ class StoreQueue
     bool empty() const { return count == 0; }
     unsigned size() const { return count; }
 
-    unsigned allocate(SeqNum seq, bool is_atomic);
+    /** Allocate the tail (see LoadQueue::allocate). */
+    unsigned allocate(SeqNum seq, bool is_atomic, Cycle now = 0,
+                      Observer *obs = nullptr);
     /** Deallocate the head once written. */
-    void freeHead(SeqNum seq);
+    void freeHead(SeqNum seq, Cycle now = 0, Observer *obs = nullptr);
 
     SqEntry &entry(unsigned idx) { return slots[idx]; }
     const SqEntry &entry(unsigned idx) const { return slots[idx]; }

@@ -4,9 +4,8 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
-#include "sim/span.hh"
 
 namespace rowsim
 {
@@ -136,8 +135,8 @@ Directory::processRequest(Entry &e, const Msg &msg, Cycle now,
             fwdGetX_++;
             // Exclusive ownership moving between private caches: the
             // ping-pong transfer the contention profile counts.
-            if (prof_ && prof_->on(ProfCategory::Lines))
-                prof_->lineOwnerSwap(line);
+            if (obs_)
+                obs_->ownershipMoved(line);
             sendToCore(MsgType::FwdGetX, line, e.owner, req, now, false,
                        false, hint, msg.spanId);
             e.nextState = DirState::Modified;
@@ -188,7 +187,7 @@ Directory::processRequest(Entry &e, const Msg &msg, Cycle now,
     e.txnSpanId = msg.spanId;
     e.blockedSince = now;
     blockedLines++;
-    ROWSIM_TRACE(TraceCategory::Directory, now,
+    ROWSIM_TRACE(obs_, TraceCategory::Directory, now,
                  "dir%u block line=%#llx %s from core%u queued=%zu",
                  bankIndex, static_cast<unsigned long long>(line),
                  msgTypeName(msg.type), req, e.queued.size());
@@ -202,23 +201,11 @@ Directory::finishTxn(Entry &e, Addr line, Cycle now)
                   "Unblock on unblocked line %#lx",
                   static_cast<unsigned long>(line));
     if (e.blockedSince != invalidCycle) {
-        // The transaction's own Blocked residency, attributed causally
-        // to the requesting atomic's span.
-        if (spans_ && e.txnSpanId)
-            spans_->dirBlockedWindow(e.txnSpanId, e.blockedSince, now);
-        // Async span: several lines can be Blocked at one bank at once.
-        ROWSIM_TRACE_SPAN(
-            TraceCategory::Directory,
-            tracePidDirBase + static_cast<int>(bankIndex), 0, "blocked",
-            line, e.blockedSince, now,
-            strprintf("{\"line\":\"%#llx\",\"requester\":%u,\"queued\":%zu}",
-                      static_cast<unsigned long long>(line),
-                      e.txnRequester, e.queued.size()));
-        ROWSIM_TRACE(TraceCategory::Directory, now,
-                     "dir%u unblock line=%#llx blocked=%llu queued=%zu",
-                     bankIndex, static_cast<unsigned long long>(line),
-                     static_cast<unsigned long long>(now - e.blockedSince),
-                     e.queued.size());
+        if (obs_) {
+            obs_->blockedWindowClosed(bankIndex, line, e.txnSpanId,
+                                      e.txnRequester, e.queued.size(),
+                                      e.blockedSince, now);
+        }
         e.blockedSince = invalidCycle;
     }
     e.state = e.nextState;
@@ -232,8 +219,8 @@ Directory::finishTxn(Entry &e, Addr line, Cycle now)
     while (!e.queued.empty() && e.state != DirState::Blocked) {
         Msg next = e.queued.front();
         e.queued.erase(e.queued.begin());
-        if (spans_ && next.spanId)
-            spans_->dirDequeued(next.spanId, now);
+        if (obs_ && next.spanId)
+            obs_->requestDequeued(next.spanId, now);
         if (next.type == MsgType::PutM) {
             // Crossed eviction: handle with the now-current state.
             deliver(next, now);
@@ -272,18 +259,10 @@ Directory::deliver(const Msg &msg, Cycle now)
             if (e.dataPending)
                 e.dataMsg.contentionHint = true;
             e.queued.push_back(msg);
-            if (spans_ && msg.spanId)
-                spans_->dirQueued(msg.spanId, now);
             queuedRequests_++;
             queueDepth_.sample(static_cast<double>(e.queued.size()));
-            if (prof_ && prof_->on(ProfCategory::Lines))
-                prof_->lineQueueDepth(msg.line, e.queued.size());
-            ROWSIM_TRACE(TraceCategory::Directory, now,
-                         "dir%u queue line=%#llx %s from core%u depth=%zu",
-                         bankIndex,
-                         static_cast<unsigned long long>(msg.line),
-                         msgTypeName(msg.type), msg.requester,
-                         e.queued.size());
+            if (obs_)
+                obs_->requestQueued(bankIndex, msg, e.queued.size(), now);
         } else {
             processRequest(e, msg, now);
         }

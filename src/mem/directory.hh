@@ -23,12 +23,11 @@
 #include "mem/flat_tables.hh"
 #include "net/message.hh"
 #include "net/network.hh"
-#include "sim/profile.hh"
 
 namespace rowsim
 {
 
-class SpanTracker;
+class Observer;
 
 /**
  * Directory bank. Network endpoint NodeId == numCores + bankIndex.
@@ -74,10 +73,8 @@ class Directory : public MsgHandler
     Cycle nextEventCycle(Cycle now) const;
 
     void setOracleHook(OracleHook hook) { oracle = std::move(hook); }
-    /** Attach the attribution profiler (System::setupProfiling). */
-    void setProfiler(Profiler *p) { prof_ = p; }
-    /** Attach the span tracker (System::setupSpans). */
-    void setSpans(SpanTracker *s) { spans_ = s; }
+    /** Attach the owning System's observer (null: observability off). */
+    void setObserver(Observer *obs) { obs_ = obs; }
 
     /** Directory state probe for tests. */
     DirState lineState(Addr line) const;
@@ -233,8 +230,7 @@ class Directory : public MsgHandler
     /** Number of lines currently Blocked (idle() fast path). */
     unsigned blockedLines = 0;
 
-    Profiler *prof_ = nullptr;
-    SpanTracker *spans_ = nullptr;
+    Observer *obs_ = nullptr;
 
     StatGroup stats_;
     CounterRef getS_{stats_, "getS"};

@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "mem/memsystem.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
-#include "sim/span.hh"
 
 namespace rowsim
 {
@@ -109,15 +108,10 @@ PrivateCache::access(const MemAccess &a, Cycle now)
 
     // Miss (or S->M upgrade).
     l1Misses_++;
-    ROWSIM_TRACE(TraceCategory::Coherence, now,
-                 "l1d%u miss line=%#llx excl=%d atomic=%d", coreId,
-                 static_cast<unsigned long long>(line),
-                 a.needExclusive ? 1 : 0, a.isAtomic ? 1 : 0);
-    // The atomic's span leaves execute here; whether the request goes
-    // out now, coalesces, or waits for a free MSHR, it is in the memory
-    // system either way (idempotent on drainPending re-entry).
-    if (spans_ && a.spanId)
-        spans_->transition(a.spanId, SpanSeg::L1Miss, now);
+    if (obs_) {
+        obs_->cacheMissed(coreId, line, a.spanId, a.needExclusive,
+                          a.isAtomic, now);
+    }
     MshrWaiter w;
     w.token = a.token;
     w.requestCycle = now;
@@ -256,20 +250,10 @@ PrivateCache::handleFill(const Msg &msg, Cycle now)
         src = FillSource::RemoteCache;
     else if (msg.fromMemory)
         src = FillSource::Memory;
-    // Transfer provenance: a cache-to-cache fill means this line moved
-    // between private caches (ping-pong ingredient).
-    if (prof_ && prof_->on(ProfCategory::Lines) &&
-        msg.fromPrivateCache) {
-        prof_->lineRemoteFill(line);
+    if (obs_) {
+        obs_->lineFilled(coreId, msg, state == CacheState::Modified,
+                         now - m.netIssueCycle, now);
     }
-    ROWSIM_TRACE(TraceCategory::Coherence, now,
-                 "l1d%u fill line=%#llx state=%s from=%s latency=%llu",
-                 coreId, static_cast<unsigned long long>(line),
-                 state == CacheState::Modified ? "M" : "S",
-                 msg.fromPrivateCache ? "remote-cache"
-                 : msg.fromMemory    ? "memory"
-                                     : "llc",
-                 static_cast<unsigned long long>(now - m.netIssueCycle));
 
     std::vector<MshrWaiter> still_waiting;
     for (const auto &w : m.waiters) {
@@ -388,7 +372,7 @@ PrivateCache::deliver(const Msg &msg, Cycle now)
         if (client->lineLocked(msg.line)) {
             stalledExternals.push_back({msg, now});
             lockStalledExternals_++;
-            ROWSIM_TRACE(TraceCategory::Coherence, now,
+            ROWSIM_TRACE(obs_, TraceCategory::Coherence, now,
                          "l1d%u external %s stalled on locked line=%#llx "
                          "from core%u",
                          coreId, msgTypeName(msg.type),
@@ -418,19 +402,8 @@ PrivateCache::unlockNotify(Addr line, Cycle now)
             const Cycle arrival = it->arrival;
             it = stalledExternals.erase(it);
             lockStallCycles_.sample(static_cast<double>(now - m.sent));
-            if (prof_ && prof_->on(ProfCategory::Lines))
-                prof_->lineLockStall(line, now - m.sent);
-            // The victim span (the remote requester this Fwd/Inv serves)
-            // spent [arrival, now] against our AQ lock.
-            if (spans_ && m.spanId)
-                spans_->lockStall(m.spanId, arrival, now);
-            ROWSIM_TRACE_COMPLETE(
-                TraceCategory::Coherence, static_cast<int>(coreId),
-                traceTidCache, "lockStall", arrival, now,
-                strprintf("{\"line\":\"%#llx\",\"type\":\"%s\","
-                          "\"requester\":%u}",
-                          static_cast<unsigned long long>(m.line),
-                          msgTypeName(m.type), m.requester));
+            if (obs_)
+                obs_->lockStallEnded(coreId, m, arrival, now);
             applyExternal(m, now);
         } else {
             ++it;
@@ -473,23 +446,8 @@ PrivateCache::tick(Cycle now)
                 const Cycle arrival = it->arrival;
                 it = stalledExternals.erase(it);
                 lockSteals_++;
-                if (prof_ && prof_->on(ProfCategory::Lines))
-                    prof_->lineSteal(m.line);
-                if (spans_ && m.spanId)
-                    spans_->lockStall(m.spanId, arrival, now);
-                ROWSIM_TRACE(TraceCategory::Coherence, now,
-                             "l1d%u lock steal line=%#llx after %llu "
-                             "stalled cycles (requester core%u)",
-                             coreId,
-                             static_cast<unsigned long long>(m.line),
-                             static_cast<unsigned long long>(now - arrival),
-                             m.requester);
-                ROWSIM_TRACE_INSTANT(
-                    TraceCategory::Coherence, static_cast<int>(coreId),
-                    traceTidCache, "lockSteal", now,
-                    strprintf("{\"line\":\"%#llx\",\"requester\":%u}",
-                              static_cast<unsigned long long>(m.line),
-                              m.requester));
+                if (obs_)
+                    obs_->lockStolen(coreId, m, arrival, now);
                 applyExternal(m, now);
             } else {
                 ++it;
@@ -539,7 +497,7 @@ PrivateCache::forceEvict(Addr line, Cycle now)
     }
     evictLine(way, now);
     forcedEvictions_++;
-    ROWSIM_TRACE(TraceCategory::Coherence, now,
+    ROWSIM_TRACE(obs_, TraceCategory::Coherence, now,
                  "l1d%u fault-injected eviction line=%#llx", coreId,
                  static_cast<unsigned long long>(line));
     return true;

@@ -25,13 +25,12 @@
 #include "mem/mshr.hh"
 #include "net/message.hh"
 #include "net/network.hh"
-#include "sim/profile.hh"
 
 namespace rowsim
 {
 
 class FunctionalMemory;
-class SpanTracker;
+class Observer;
 
 /** A memory access issued by the core to its private cache unit. */
 struct MemAccess
@@ -117,10 +116,8 @@ class PrivateCache : public MsgHandler
                  FunctionalMemory *fmem);
 
     void setClient(MemClient *c) { client = c; }
-    /** Attach the attribution profiler (System::setupProfiling). */
-    void setProfiler(Profiler *p) { prof_ = p; }
-    /** Attach the span tracker (System::setupSpans). */
-    void setSpans(SpanTracker *s) { spans_ = s; }
+    /** Attach the owning System's observer (null: observability off). */
+    void setObserver(Observer *obs) { obs_ = obs; }
 
     /** Issue an access. Hits complete after the L1/L2 latency; misses
      *  allocate an MSHR and go to the directory. */
@@ -303,8 +300,7 @@ class PrivateCache : public MsgHandler
     /** Completions due at a cycle, FIFO among equal cycles. */
     EventHeap<MemResult> dueResults;
 
-    Profiler *prof_ = nullptr;
-    SpanTracker *spans_ = nullptr;
+    Observer *obs_ = nullptr;
 
     StatGroup stats_;
     CounterRef prefetchRequests_{stats_, "prefetchRequests"};

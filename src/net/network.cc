@@ -4,9 +4,8 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
-#include "sim/span.hh"
 
 namespace rowsim
 {
@@ -142,7 +141,7 @@ Network::send(Msg msg, Cycle now)
                    std::greater<Pending>());
     messages_++;
     hops_.sample(pairHops[pair]);
-    ROWSIM_TRACE(TraceCategory::Network, now, "inject %s due=%llu",
+    ROWSIM_TRACE(obs_, TraceCategory::Network, now, "inject %s due=%llu",
                  msg.toString().c_str(),
                  static_cast<unsigned long long>(due));
 }
@@ -158,23 +157,12 @@ Network::tick(Cycle now)
         MsgHandler *h = handlers[p.msg.dst];
         ROWSIM_ASSERT(h != nullptr, "no handler attached at node %u",
                       p.msg.dst);
-        ROWSIM_TRACE(TraceCategory::Network, now, "deliver %s",
-                     p.msg.toString().c_str());
-        // One async span per message lifetime; the order counter makes a
-        // unique id so concurrent messages nest correctly.
-        ROWSIM_TRACE_SPAN(TraceCategory::Network, tracePidNetwork, 0,
-                          msgTypeName(p.msg.type), p.order, p.msg.sent, now,
-                          strprintf("{\"line\":\"%#llx\",\"src\":%u,"
-                                    "\"dst\":%u}",
-                                    static_cast<unsigned long long>(
-                                        p.msg.line),
-                                    p.msg.src, p.msg.dst));
+        if (obs_)
+            obs_->messageDelivered(p.msg, p.order, now);
         delivered_++;
         const Cycle lat = now >= p.msg.sent ? now - p.msg.sent : 0;
         typeLatency_[static_cast<std::size_t>(p.msg.type)].sample(
             static_cast<double>(lat));
-        if (spans_ && p.msg.spanId)
-            spans_->netHop(p.msg.spanId, p.msg.sent, now);
         h->deliver(p.msg, now);
     }
 }

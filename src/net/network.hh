@@ -26,7 +26,7 @@ namespace rowsim
 
 class Ser;
 class Deser;
-class SpanTracker;
+class Observer;
 
 /**
  * The on-chip network. Endpoints register themselves by NodeId; send()
@@ -68,9 +68,8 @@ class Network
     using DelayHook = std::function<Cycle(const Msg &msg, Cycle now)>;
     void setDelayHook(DelayHook hook) { delayHook = std::move(hook); }
 
-    /** Attach the span tracker (System::setupSpans): messages carrying
-     *  a span ID report their delivery latency as a remote leg. */
-    void setSpans(SpanTracker *s) { spans_ = s; }
+    /** Attach the owning System's observer (null: observability off). */
+    void setObserver(Observer *obs) { obs_ = obs; }
 
     /** Crash diagnostics: one JSON object listing in-flight messages. */
     void dumpDiag(std::FILE *out, Cycle now) const;
@@ -128,7 +127,7 @@ class Network
     std::vector<unsigned> pairHops;
     std::uint64_t nextOrder = 0;
     DelayHook delayHook;
-    SpanTracker *spans_ = nullptr;
+    Observer *obs_ = nullptr;
 
     StatGroup stats_;
     CounterRef messages_{stats_, "messages"};

@@ -4,7 +4,7 @@
 #include <bit>
 
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
 
 namespace rowsim
@@ -38,7 +38,8 @@ ContentionPredictor::predictContended(Addr pc) const
 }
 
 void
-ContentionPredictor::update(Addr pc, bool contended, Cycle now)
+ContentionPredictor::update(Addr pc, bool contended, Cycle now,
+                            Observer *obs)
 {
     const bool predicted = predictContended(pc);
     updates_++;
@@ -48,19 +49,9 @@ ContentionPredictor::update(Addr pc, bool contended, Cycle now)
         contendedOutcomes_++;
 
     std::uint8_t &ctr = table[index(pc)];
-    ROWSIM_TRACE(TraceCategory::Predictor, now,
-                 "core%u predictor pc=%#llx idx=%u ctr=%u predicted=%d "
-                 "actual=%d", coreId_,
-                 static_cast<unsigned long long>(pc), index(pc),
-                 static_cast<unsigned>(ctr), predicted ? 1 : 0,
-                 contended ? 1 : 0);
-    if (predicted != contended) {
-        ROWSIM_TRACE_INSTANT(
-            TraceCategory::Predictor, static_cast<int>(coreId_),
-            traceTidPredictor, "mispredict", now,
-            strprintf("{\"pc\":\"%#llx\",\"predicted\":%d,\"actual\":%d}",
-                      static_cast<unsigned long long>(pc),
-                      predicted ? 1 : 0, contended ? 1 : 0));
+    if (obs) {
+        obs->predictorTrained(coreId_, pc, index(pc), ctr, predicted,
+                              contended, now);
     }
     if (contended) {
         switch (cfg.update) {

@@ -20,6 +20,7 @@ namespace rowsim
 
 class Ser;
 class Deser;
+class Observer;
 
 class ContentionPredictor
 {
@@ -31,9 +32,11 @@ class ContentionPredictor
     bool predictContended(Addr pc) const;
 
     /** Train with the observed outcome when the atomic unlocks its line.
-     *  Also records prediction-accuracy statistics (Fig. 12). @p now is
-     *  the training cycle, used only for trace timestamps. */
-    void update(Addr pc, bool contended, Cycle now = 0);
+     *  Also records prediction-accuracy statistics (Fig. 12). @p now and
+     *  @p obs, the owning core's cycle and observer, only stamp and
+     *  route its trace events. */
+    void update(Addr pc, bool contended, Cycle now = 0,
+                Observer *obs = nullptr);
 
     /** Owning core's id — only used to label trace events. */
     void setCoreId(CoreId id) { coreId_ = id; }

@@ -4,7 +4,7 @@
 
 #include "common/config.hh"
 #include "common/log.hh"
-#include "common/trace.hh"
+#include "sim/observer.hh"
 #include "sim/snapshot.hh"
 #include "sim/system.hh"
 
@@ -58,7 +58,7 @@ FaultInjector::extraDelay(const Msg &msg, Cycle now)
         delayedUnblocks_++;
     }
     if (extra) {
-        ROWSIM_TRACE(TraceCategory::Network, now,
+        ROWSIM_TRACE(sys->observer(), TraceCategory::Network, now,
                      "fault: +%llu cycles on %s",
                      static_cast<unsigned long long>(extra),
                      msg.toString().c_str());
@@ -75,7 +75,7 @@ FaultInjector::tick(Cycle now)
         const Cycle until = now + 16 + rng.below(112);
         sys->mem().directory(bank).injectStall(until);
         injectedStalls_++;
-        ROWSIM_TRACE(TraceCategory::Coherence, now,
+        ROWSIM_TRACE(sys->observer(), TraceCategory::Coherence, now,
                      "fault: stall dir%u until %llu", bank,
                      static_cast<unsigned long long>(until));
     }

@@ -28,7 +28,6 @@
 
 #include "common/log.hh"
 #include "common/sha256.hh"
-#include "common/trace.hh"
 #include "cpu/core.hh"
 #include "sim/snapshot.hh"
 #include "sim/system.hh"
@@ -80,7 +79,7 @@ Core::funcRun(const std::function<bool(Addr, bool)> &access,
             fmem->write64(op.addr, atomicModify(op, old));
             committedAtomicCount++;
             if (params.atomicPolicy == AtomicPolicy::RoW)
-                rowPredictor.update(op.pc, remote, now);
+                rowPredictor.update(op.pc, remote, now, obs_);
             break;
           }
           default:
@@ -138,8 +137,6 @@ System::runFunctional(std::uint64_t iter_quota, std::uint64_t warm_iters)
 
     while (true) {
         currentCycle++;
-        if (Trace::anyEnabled())
-            Trace::setNow(currentCycle);
 
         bool all_done = true;
         bool warm = warm_iters != 0;

@@ -7,6 +7,7 @@
 #include "sim/profile.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace rowsim
 {
@@ -102,22 +103,6 @@ Profiler::rowTotals() const
     return t;
 }
 
-namespace
-{
-
-unsigned
-popcount64(std::uint64_t v)
-{
-    unsigned n = 0;
-    while (v) {
-        v &= v - 1;
-        n++;
-    }
-    return n;
-}
-
-} // namespace
-
 std::string
 Profiler::toJson() const
 {
@@ -149,19 +134,8 @@ Profiler::toJson() const
     }
 
     if (on(ProfCategory::Lines)) {
-        std::vector<std::pair<Addr, const LineProf *>> sorted;
-        sorted.reserve(lines_.size());
-        for (const auto &kv : lines_)
-            sorted.emplace_back(kv.first, &kv.second);
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto &a, const auto &b) {
-                      if (a.second->holdCycles != b.second->holdCycles)
-                          return a.second->holdCycles >
-                                 b.second->holdCycles;
-                      return a.first < b.first; // deterministic ties
-                  });
-        if (sorted.size() > topK_)
-            sorted.resize(topK_);
+        const auto sorted = sortedRows(
+            lines_, [](const LineProf &p) { return p.holdCycles; }, topK_);
         out += strprintf(",\"linesTracked\":%zu,\"lines\":[",
                          lines_.size());
         for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -183,20 +157,14 @@ Profiler::toJson() const
                 static_cast<unsigned long long>(p.lockStallCycles),
                 static_cast<unsigned long long>(p.steals),
                 static_cast<unsigned long long>(p.queuedMax),
-                popcount64(p.coresMask));
+                static_cast<unsigned>(std::popcount(p.coresMask)));
         }
         out += "]";
     }
 
     if (on(ProfCategory::Row)) {
-        std::vector<std::pair<Addr, const RowProf *>> sorted;
-        sorted.reserve(rowAudit_.size());
-        for (const auto &kv : rowAudit_)
-            sorted.emplace_back(kv.first, &kv.second);
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
+        const auto sorted =
+            sortedRows(rowAudit_, [](const RowProf &) { return 0; });
         out += ",\"row\":{\"pcs\":[";
         for (std::size_t i = 0; i < sorted.size(); ++i) {
             const RowProf &p = *sorted[i].second;
@@ -241,14 +209,8 @@ Profiler::toJson() const
     }
 
     if (on(ProfCategory::Pcs)) {
-        std::vector<std::pair<Addr, const PcProf *>> sorted;
-        sorted.reserve(pcs_.size());
-        for (const auto &kv : pcs_)
-            sorted.emplace_back(kv.first, &kv.second);
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
+        const auto sorted =
+            sortedRows(pcs_, [](const PcProf &) { return 0; });
         out += ",\"pcs\":[";
         for (std::size_t i = 0; i < sorted.size(); ++i) {
             const PcProf &p = *sorted[i].second;

@@ -2,9 +2,9 @@
  * @file
  * Runtime-gated attribution profiler.
  *
- * Every profile point is gated on the owning System's Profiler, which
- * exists only when some category is on, so leaving profiling off costs
- * one null-pointer test per hook. With categories enabled
+ * The Profiler is owned by its System's observer (sim/observer.hh) and
+ * exists only when some category is on; the observer turns the model's
+ * events into the aggregates below. With categories enabled
  * (ROWSIM_PROFILE env var or SystemParams::profileCategories) the
  * profiler aggregates — without storing per-event logs — the three
  * attributions the paper's evidence rests on:
@@ -29,14 +29,15 @@
  *           every core's CPI stack must sum to cycles × commitWidth;
  *           a mismatch panics naming the core (ROWSIM_FF=check style).
  *
- * State and category mask are per-System (one Profiler instance), so
- * profiled jobs compose with the parallel sweep engine and two Systems
- * on one thread never see each other's gate.
+ * State and category mask are per-System (one Profiler instance per
+ * observer), so profiled jobs compose with the parallel sweep engine
+ * and two Systems on one thread never see each other's gate.
  */
 
 #ifndef ROWSIM_SIM_PROFILE_HH
 #define ROWSIM_SIM_PROFILE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -48,6 +49,28 @@
 
 namespace rowsim
 {
+
+/**
+ * The rows of a per-PC / per-line @p table as (key, row) pairs, highest
+ * @p score first, ties (and an all-equal score) by key, cut to the
+ * first @p k: the deterministic order of every profile and span dump.
+ */
+template <class Row, class Score>
+std::vector<std::pair<Addr, const Row *>>
+sortedRows(const std::unordered_map<Addr, Row> &table, Score score,
+           std::size_t k = SIZE_MAX)
+{
+    std::vector<std::pair<Addr, const Row *>> rows;
+    rows.reserve(table.size());
+    for (const auto &kv : table)
+        rows.emplace_back(kv.first, &kv.second);
+    std::sort(rows.begin(), rows.end(), [&](const auto &a, const auto &b) {
+        const auto sa = score(*a.second), sb = score(*b.second);
+        return sa != sb ? sa > sb : a.first < b.first;
+    });
+    rows.resize(std::min(rows.size(), k));
+    return rows;
+}
 
 /** One bit per attribution family; combined into the runtime mask. */
 enum class ProfCategory : std::uint32_t
@@ -110,9 +133,6 @@ class Profiler
         return (mask_ & static_cast<std::uint32_t>(c)) != 0;
     }
 
-    unsigned numCores() const { return numCores_; }
-    unsigned commitWidth() const { return commitWidth_; }
-
     // --- cpi ---
 
     /** Charge @p slots commit slots of @p core to @p bucket. */
@@ -154,43 +174,8 @@ class Profiler
         std::uint64_t coresMask = 0;       ///< acquiring cores (bit per id)
     };
 
-    void
-    lineAcquire(Addr line, CoreId core)
-    {
-        LineProf &p = lines_[line];
-        p.acquires++;
-        if (core < 64)
-            p.coresMask |= 1ull << core;
-    }
-
-    void
-    lineRelease(Addr line, std::uint64_t hold_cycles, bool contended)
-    {
-        LineProf &p = lines_[line];
-        p.holdCycles += hold_cycles;
-        if (contended)
-            p.contendedUnlocks++;
-    }
-
-    void lineRemoteFill(Addr line) { lines_[line].remoteFills++; }
-    void lineOwnerSwap(Addr line) { lines_[line].ownerSwaps++; }
-    void lineSteal(Addr line) { lines_[line].steals++; }
-
-    void
-    lineLockStall(Addr line, std::uint64_t cycles)
-    {
-        LineProf &p = lines_[line];
-        p.lockStalls++;
-        p.lockStallCycles += cycles;
-    }
-
-    void
-    lineQueueDepth(Addr line, std::uint64_t depth)
-    {
-        LineProf &p = lines_[line];
-        if (depth > p.queuedMax)
-            p.queuedMax = depth;
-    }
+    /** @p line's row, created on first use. */
+    LineProf &line(Addr line) { return lines_[line]; }
 
     const std::unordered_map<Addr, LineProf> &lines() const
     {
@@ -221,11 +206,6 @@ class Profiler
             p.eagerContendedCycles += mispredict_cost;
     }
 
-    const std::unordered_map<Addr, RowProf> &rowAudit() const
-    {
-        return rowAudit_;
-    }
-
     /** Totals across PCs: updates, per-cell sums, observed-contended. */
     RowProf rowTotals() const;
 
@@ -249,8 +229,6 @@ class Profiler
         p.issueToLock += i2l;
         p.lockToUnlock += l2u;
     }
-
-    const std::unordered_map<Addr, PcProf> &pcs() const { return pcs_; }
 
     /** Single-line JSON of everything collected (top-K lines by
      *  holdCycles). */

@@ -134,11 +134,12 @@ struct RunSpec
     // ---- live sinks: a stored result cannot replay them ----
 
     /** ROWSIM_TRACE (off), ROWSIM_TRACE_RING (off), ROWSIM_TRACE_FILE
-     *  (stderr), ROWSIM_TRACE_JSON (rowsim.trace.json): applied once
-     *  per thread, see Trace::initOnce. */
+     *  (stderr), ROWSIM_TRACE_JSON (rowsim.trace.json). The categories
+     *  and the ring are this System's (its Observer); the sink files
+     *  are opened once per thread, see Trace::initOnce. */
     TraceSetup trace;
-    /** SystemParams::traceCategories: re-applied on every System,
-     *  without the environment's sinks. */
+    /** SystemParams::traceCategories: this System's categories in place
+     *  of ROWSIM_TRACE's, without the environment's sinks. */
     std::uint32_t traceParamsMask = 0;
     /** ROWSIM_STATS_JSON (off): full stats tree of the last run. */
     std::string statsJson;

@@ -7,9 +7,9 @@
 #include "sim/span.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/trace.hh"
+#include "sim/profile.hh"
 
 namespace rowsim
 {
@@ -30,8 +30,8 @@ spanSegName(SpanSeg s)
     return "?";
 }
 
-SpanTracker::SpanTracker(unsigned num_cores, std::uint64_t top_k)
-    : numCores_(num_cores), topK_(top_k)
+SpanTracker::SpanTracker(std::uint64_t top_k, bool chrome)
+    : topK_(top_k), chrome_(chrome)
 {
 }
 
@@ -52,14 +52,14 @@ SpanTracker::open(CoreId core, Addr pc, bool lazy, Cycle now)
 }
 
 void
-SpanTracker::transition(std::uint64_t id, SpanSeg seg, Cycle now)
+SpanTracker::transition(std::uint64_t id, SpanSeg seg, Cycle now, Addr line)
 {
-    if (id == 0)
+    Record *rec = find(id);
+    if (!rec)
         return;
-    auto it = open_.find(id);
-    if (it == open_.end())
-        return;
-    Record &r = it->second;
+    Record &r = *rec;
+    if (line != invalidAddr)
+        r.line = line;
     if (r.cur == seg)
         return;
     ROWSIM_ASSERT(now >= r.segStart,
@@ -68,7 +68,7 @@ SpanTracker::transition(std::uint64_t id, SpanSeg seg, Cycle now)
                   static_cast<unsigned long long>(id),
                   static_cast<unsigned long long>(now),
                   static_cast<unsigned long long>(r.segStart));
-    if (Trace::enabled(TraceCategory::Span) && now > r.segStart) {
+    if (chrome_ && now > r.segStart) {
         Trace::instance().complete(
             TraceCategory::Span, static_cast<int>(r.core), traceTidSpans,
             spanSegName(r.cur), r.segStart, now,
@@ -93,29 +93,17 @@ SpanTracker::transition(std::uint64_t id, SpanSeg seg, Cycle now)
 }
 
 void
-SpanTracker::setLine(std::uint64_t id, Addr line)
-{
-    if (id == 0)
-        return;
-    auto it = open_.find(id);
-    if (it != open_.end())
-        it->second.line = line;
-}
-
-void
 SpanTracker::replay(std::uint64_t id, Cycle now)
 {
-    if (id == 0)
+    Record *r = find(id);
+    if (!r)
         return;
-    auto it = open_.find(id);
-    if (it == open_.end())
-        return;
-    it->second.replays++;
+    r->replays++;
     // The stolen lock sends the atomic back into a wait; the replay
     // window is charged to aqWait.
     transition(id, SpanSeg::AqWait, now);
     // A steal forces the replay to re-issue lazily.
-    it->second.lazy = true;
+    r->lazy = true;
 }
 
 void
@@ -160,7 +148,7 @@ SpanTracker::close(std::uint64_t id, Cycle commit)
     aggregate(r);
     retain(r);
 
-    if (Trace::enabled(TraceCategory::Span)) {
+    if (chrome_) {
         Trace &t = Trace::instance();
         if (r.commit > r.segStart) {
             t.complete(TraceCategory::Span, static_cast<int>(r.core),
@@ -181,65 +169,22 @@ SpanTracker::close(std::uint64_t id, Cycle commit)
 }
 
 void
-SpanTracker::netHop(std::uint64_t id, Cycle sent, Cycle now)
-{
-    if (id == 0)
-        return;
-    auto it = open_.find(id);
-    if (it == open_.end())
-        return; // e.g. an Unblock delivered after the span committed
-    it->second.netCycles += now >= sent ? now - sent : 0;
-    it->second.netHops++;
-    if (Trace::enabled(TraceCategory::Span)) {
-        Trace::instance().flow(TraceCategory::Span, tracePidNetwork, 0,
-                               "miss", id, now, 't');
-    }
-}
-
-void
-SpanTracker::dirBlockedWindow(std::uint64_t id, Cycle since, Cycle now)
-{
-    if (id == 0)
-        return;
-    auto it = open_.find(id);
-    if (it == open_.end())
-        return;
-    it->second.dirBlocked += now >= since ? now - since : 0;
-}
-
-void
 SpanTracker::dirQueued(std::uint64_t id, Cycle now)
 {
-    if (id == 0)
-        return;
-    if (open_.count(id))
+    if (find(id))
         dirQueuedAt_.emplace(id, now);
 }
 
 void
 SpanTracker::dirDequeued(std::uint64_t id, Cycle now)
 {
-    if (id == 0)
-        return;
     auto q = dirQueuedAt_.find(id);
     if (q == dirQueuedAt_.end())
         return;
     const Cycle since = q->second;
     dirQueuedAt_.erase(q);
-    auto it = open_.find(id);
-    if (it != open_.end())
-        it->second.dirBlocked += now >= since ? now - since : 0;
-}
-
-void
-SpanTracker::lockStall(std::uint64_t id, Cycle arrival, Cycle now)
-{
-    if (id == 0)
-        return;
-    auto it = open_.find(id);
-    if (it == open_.end())
-        return;
-    it->second.lockStall += now >= arrival ? now - arrival : 0;
+    if (Record *r = find(id))
+        r->dirBlocked += now >= since ? now - since : 0;
 }
 
 void
@@ -353,24 +298,11 @@ aggJson(const SpanTracker::Agg &a)
     return out;
 }
 
-/** Top-K (by total, ties by address) slice of an aggregate map. */
-std::vector<std::pair<Addr, const SpanTracker::Agg *>>
-topAggs(const std::unordered_map<Addr, SpanTracker::Agg> &m,
-        std::uint64_t k)
+/** An aggregate's rank in the dump: its total latency. */
+std::uint64_t
+aggTotal(const SpanTracker::Agg &a)
 {
-    std::vector<std::pair<Addr, const SpanTracker::Agg *>> sorted;
-    sorted.reserve(m.size());
-    for (const auto &kv : m)
-        sorted.emplace_back(kv.first, &kv.second);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second->total != b.second->total)
-                      return a.second->total > b.second->total;
-                  return a.first < b.first;
-              });
-    if (sorted.size() > k)
-        sorted.resize(k);
-    return sorted;
+    return a.total;
 }
 
 } // namespace
@@ -403,7 +335,7 @@ SpanTracker::toJson() const
     out += ",\"lockHeld\":" + histJson(lockHeldHist_);
 
     out += strprintf(",\"pcsTracked\":%zu,\"pcs\":[", pcs_.size());
-    auto pcs = topAggs(pcs_, topK_);
+    auto pcs = sortedRows(pcs_, aggTotal, topK_);
     for (std::size_t i = 0; i < pcs.size(); i++) {
         out += strprintf("%s{\"pc\":\"%#llx\",", i ? "," : "",
                          static_cast<unsigned long long>(pcs[i].first));
@@ -411,7 +343,7 @@ SpanTracker::toJson() const
         out += "}";
     }
     out += strprintf("],\"linesTracked\":%zu,\"lines\":[", lines_.size());
-    auto lines = topAggs(lines_, topK_);
+    auto lines = sortedRows(lines_, aggTotal, topK_);
     for (std::size_t i = 0; i < lines.size(); i++) {
         out += strprintf("%s{\"line\":\"%#llx\",", i ? "," : "",
                          static_cast<unsigned long long>(lines[i].first));

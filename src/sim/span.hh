@@ -5,8 +5,10 @@
  * Every atomic RMW opens a *span* at dispatch and closes it at commit.
  * Between those two points the span is always in exactly one *segment*
  * (dispatchWait, sbDrain, aqWait, execute, l1Miss, unblockWait,
- * lockHeld): the core, cache and directory report phase transitions and
- * the tracker charges the elapsed cycles to the segment being left.
+ * lockHeld): the core, cache and directory report model events to their
+ * System's observer (sim/observer.hh), which turns them into phase
+ * transitions, and the tracker charges the elapsed cycles to the
+ * segment being left.
  * Because segments are recorded as transitions of one cursor, they tile
  * dispatch→commit *by construction*, and close() asserts the
  * conservation invariant (Σ segments == commit − dispatch) so any
@@ -30,11 +32,11 @@
  * "critical" object on every retained record; rendered by
  * `rowsim_report span`).
  *
- * Modelled on the attribution profiler (src/sim/profile.hh): state is
- * per-System, and the gate is the owning System's tracker pointer, set
- * only when spans are on (ROWSIM_SPANS env, overridden by
- * SystemParams::spans), so parallel sweep jobs and two Systems on one
- * thread never share a gate. Aggregates (per-PC / per-line segment
+ * The tracker is owned by its System's observer, like the attribution
+ * profiler (src/sim/profile.hh), and exists only when spans are on
+ * (ROWSIM_SPANS env, overridden by SystemParams::spans), so parallel
+ * sweep jobs and two Systems on one thread never share a tracker or a
+ * gate. Aggregates (per-PC / per-line segment
  * breakdowns, whole-run segment histograms with p50/p90/p99) cover
  * *every* span; full per-span records are bounded by the
  * ROWSIM_SPANS_TOPK retention policy (the K slowest spans are kept,
@@ -83,19 +85,16 @@ const char *spanSegName(SpanSeg s);
 
 /**
  * The per-System span tracker. All state lives in the instance; it
- * exists only when spans are on, so a hook site costs one null-pointer
- * test when they are off.
+ * exists only when spans are on.
  */
 class SpanTracker
 {
   public:
     /** @p top_k bounds the retained full records and the per-PC /
-     *  per-line rows of the dump (ROWSIM_SPANS_TOPK). */
-    SpanTracker(unsigned num_cores, std::uint64_t top_k);
-
-    /** Retained-record bound. */
-    std::uint64_t topK() const { return topK_; }
-    unsigned numCores() const { return numCores_; }
+     *  per-line rows of the dump (ROWSIM_SPANS_TOPK); @p chrome writes
+     *  each segment and span into the Chrome trace (the System traces
+     *  the "span" category). */
+    SpanTracker(std::uint64_t top_k, bool chrome);
 
     /** One traced atomic lifetime. */
     struct Record
@@ -128,29 +127,31 @@ class SpanTracker
     /** Open a span at dispatch. @return the span ID (never 0). */
     std::uint64_t open(CoreId core, Addr pc, bool lazy, Cycle now);
     /** Move the span into @p seg, charging [segStart, now) to the
-     *  segment being left. Idempotent for seg == current segment. */
-    void transition(std::uint64_t id, SpanSeg seg, Cycle now);
-    /** Record the effective line address once computed. */
-    void setLine(std::uint64_t id, Addr line);
+     *  segment being left. Idempotent for seg == current segment. A
+     *  valid @p line records the effective line address, once
+     *  computed. */
+    void transition(std::uint64_t id, SpanSeg seg, Cycle now,
+                    Addr line = invalidAddr);
     /** A lock steal forced a replay (decision may flip to lazy). */
     void replay(std::uint64_t id, Cycle now);
     /** Close the span at commit; asserts segment conservation, feeds
      *  the aggregates and the bounded retention heap, and emits the
-     *  Chrome-trace events when the "span" trace category is live. */
+     *  Chrome-trace events when chrome is on. */
     void close(std::uint64_t id, Cycle commit);
 
-    // ---- overlapping legs (cache / directory / network hooks) ----
+    // ---- overlapping legs (sim/observer.hh adds them) ----
 
-    /** A message carrying this span delivered after @p sent→@p now. */
-    void netHop(std::uint64_t id, Cycle sent, Cycle now);
-    /** The span's own directory transaction left Blocked. */
-    void dirBlockedWindow(std::uint64_t id, Cycle since, Cycle now);
+    /** The open span @p id; nullptr once closed (or for id 0). */
+    Record *
+    find(std::uint64_t id)
+    {
+        auto it = open_.find(id);
+        return it == open_.end() ? nullptr : &it->second;
+    }
     /** The span's request was queued behind a Blocked line. */
     void dirQueued(std::uint64_t id, Cycle now);
-    /** ... and is being processed now. */
+    /** ... and is being processed now: the wait joins dirBlocked. */
     void dirDequeued(std::uint64_t id, Cycle now);
-    /** The span's request sat stalled against a remote AQ lock. */
-    void lockStall(std::uint64_t id, Cycle arrival, Cycle now);
 
     // ---- snapshot interaction ----
 
@@ -202,8 +203,8 @@ class SpanTracker
     void aggregate(const Record &r);
     void retain(const Record &r);
 
-    unsigned numCores_;
     std::uint64_t topK_;
+    bool chrome_;
 
     std::uint64_t nextId_ = 1;
     std::uint64_t closedCount_ = 0;

@@ -75,8 +75,6 @@ System::System(const SystemParams &params,
 
     setupObservability();
     setupSelfChecking();
-    setupProfiling();
-    setupSpans();
 
     // Every panic — checker violation, watchdog fire, protocol assert —
     // dumps the diagnostics snapshot before unwinding.
@@ -96,19 +94,23 @@ System::~System()
 void
 System::setupObservability()
 {
-    // Tracing: the environment's request first (so every bench and
-    // example picks it up), then explicit SystemParams overrides. The
-    // gate is thread-local, so this System's effective gate is applied
-    // here and again on entry to every run call (applyTraceGate): a
-    // System must neither inherit another's categories or ring nor
-    // lose its own to a System built after it.
+    // One observer per System holds its trace categories, ring, check
+    // mask, profiler and span tracker; every component reports to it,
+    // and with all of them off it does not exist.
+    obs_ = Observer::make(spec_, params_);
+    for (CoreId c = 0; c < params_.numCores; c++) {
+        cores[c]->setObserver(obs_.get());
+        memsys.cache(c).setObserver(obs_.get());
+    }
+    for (unsigned b = 0; b < memsys.numBanks(); b++)
+        memsys.directory(b).setObserver(obs_.get());
+    memsys.network().setObserver(obs_.get());
+
+    // Trace sinks are the thread's: the environment's request opens
+    // them once (so every bench and example picks it up), and a System
+    // tracing by SystemParams opens its JSON path if none is open.
     Trace::initOnce(spec_.trace);
-    traceSinkMask_ = spec_.traceParamsMask ? spec_.traceParamsMask
-                                           : spec_.trace.mask;
-    traceRing_ = spec_.trace.ring;
-    Trace::instance().enableRing(traceRing_); // a new System: empty ring
-    applyTraceGate();
-    if (Trace::anyEnabled() && !params_.traceJsonPath.empty() &&
+    if (obs_ && obs_->traceMask() && !params_.traceJsonPath.empty() &&
         !Trace::instance().jsonOpen()) {
         Trace::instance().openJson(params_.traceJsonPath);
     }
@@ -204,12 +206,10 @@ void
 System::setupSelfChecking()
 {
     // Invariant checker: the Checker object always exists; its mask
-    // decides whether tick() ever calls into it. The cores' event
+    // decides whether tick() ever calls into it. The observer's event
     // checks read the same mask.
     checker_ = std::make_unique<Checker>(this, spec_.checkInterval,
                                          spec_.checkMask);
-    for (auto &c : cores)
-        c->setCheckMask(spec_.checkMask);
 
     // Fault injector: only constructed when a category is selected, so
     // the per-tick cost with faults off is one null-pointer test. The
@@ -223,60 +223,12 @@ System::setupSelfChecking()
             });
     }
 
-    // Self-checking runs want post-mortem context: keep a retroactive
-    // trace ring so crash dumps can replay the events leading up to a
-    // violation, even with every trace sink off.
-    if ((spec_.checkMask || faults_) && traceRing_ == 0) {
-        traceRing_ = 256;
-        applyTraceGate();
-    }
-}
-
-void
-System::applyTraceGate() const
-{
-    Trace::instance().applyGate(traceSinkMask_, traceRing_);
-}
-
-void
-System::setupProfiling()
-{
-    if (!spec_.profileMask)
-        return;
-    profiler_ = std::make_unique<Profiler>(spec_.profileMask,
-                                           params_.numCores,
-                                           params_.core.commitWidth,
-                                           spec_.profileTopK);
-    for (auto &c : cores)
-        c->setProfiler(profiler_.get());
-    for (CoreId c = 0; c < params_.numCores; c++)
-        memsys.cache(c).setProfiler(profiler_.get());
-    for (unsigned b = 0; b < memsys.numBanks(); b++)
-        memsys.directory(b).setProfiler(profiler_.get());
-}
-
-void
-System::setupSpans()
-{
-    if (!spec_.spans)
-        return;
-    spans_ = std::make_unique<SpanTracker>(params_.numCores,
-                                           spec_.spansTopK);
-    for (auto &c : cores)
-        c->setSpans(spans_.get());
-    for (CoreId c = 0; c < params_.numCores; c++)
-        memsys.cache(c).setSpans(spans_.get());
-    for (unsigned b = 0; b < memsys.numBanks(); b++)
-        memsys.directory(b).setSpans(spans_.get());
-    memsys.network().setSpans(spans_.get());
 }
 
 void
 System::tick()
 {
     currentCycle++;
-    if (Trace::anyEnabled())
-        Trace::setNow(currentCycle);
     if (faults_)
         faults_->tick(currentCycle);
     memsys.tick(currentCycle);
@@ -402,14 +354,8 @@ System::maybeFastForward()
         }
         return;
     }
-    ROWSIM_TRACE(TraceCategory::Pipeline, currentCycle,
-                 "ff skip %llu..%llu",
-                 static_cast<unsigned long long>(currentCycle + 1),
-                 static_cast<unsigned long long>(next - 1));
-    // Skipped windows never get per-tick classification; credit them as
-    // explicit Idle slots so the CPI stacks stay slot-conserving.
-    if (profiler_ && profiler_->on(ProfCategory::Cpi))
-        profiler_->addIdleSlots(next - 1 - currentCycle);
+    if (obs_)
+        obs_->idleSkipped(currentCycle, next);
     ffSkipped_ += next - 1 - currentCycle;
     currentCycle = next - 1;
 }
@@ -503,7 +449,6 @@ System::runWarmup(std::uint64_t iter_quota, std::uint64_t warm_iters)
 Cycle
 System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
 {
-    applyTraceGate();
     if (hbEnabled_ && hbStartMs_ == 0) {
         hbStartMs_ = Heartbeat::wallMs();
         hbLastCycle_ = currentCycle;
@@ -527,8 +472,8 @@ System::runLoop(std::uint64_t iter_quota, std::uint64_t warm_iters)
             }
         }
         if (all_done) {
-            if (profiler_ && profiler_->on(ProfCategory::Check))
-                profiler_->checkConservation(currentCycle, "end of run");
+            if (profiler() && profiler()->on(ProfCategory::Check))
+                profiler()->checkConservation(currentCycle, "end of run");
             return currentCycle;
         }
         if (warm_iters) {
@@ -599,7 +544,6 @@ System::heartbeatProbe(std::uint64_t iter_quota)
 void
 System::runCycles(Cycle cycles)
 {
-    applyTraceGate();
     const Cycle end = currentCycle + cycles;
     while (currentCycle < end)
         tick();
@@ -608,7 +552,6 @@ System::runCycles(Cycle cycles)
 void
 System::drain()
 {
-    applyTraceGate();
     for (auto &c : cores)
         c->halt();
     const Cycle start = currentCycle;
@@ -736,8 +679,8 @@ System::restore(Deser &d)
     // restore point, and atomics in flight inside the image can never
     // open one. Both are dropped and counted, so no dangling span ID
     // survives a restore.
-    if (spans_) {
-        spans_->truncateOpen();
+    if (SpanTracker *sp = spans()) {
+        sp->truncateOpen();
         std::uint64_t in_image = 0;
         for (const auto &c : cores) {
             c->atomicQueue().forEach([&](const AqEntry &a) {
@@ -745,13 +688,11 @@ System::restore(Deser &d)
                     in_image++;
             });
         }
-        spans_->noteTruncated(in_image);
+        sp->noteTruncated(in_image);
     }
     // The service deadline is derived state: recompute it from the
     // restored watchdog / sampler / checker positions.
     recomputeNextService();
-    if (Trace::anyEnabled())
-        Trace::setNow(currentCycle);
 }
 
 std::uint64_t
@@ -783,7 +724,7 @@ System::stateDigest() const
 void
 System::saveCheckpoint(const std::string &path) const
 {
-    if (profiler_) {
+    if (profiler()) {
         throw SnapshotError(
             "cannot checkpoint while the attribution profiler is "
             "active (format v1 does not carry profiler state; rerun "
@@ -797,7 +738,7 @@ System::saveCheckpoint(const std::string &path) const
 void
 System::restoreCheckpoint(const std::string &path)
 {
-    if (profiler_) {
+    if (profiler()) {
         throw SnapshotError(
             "cannot restore a checkpoint while the attribution "
             "profiler is active (format v1 does not carry profiler "
@@ -867,10 +808,12 @@ System::emitCrashJson(std::FILE *out, const char *reason)
     std::fprintf(out, "],\"network\":");
     memsys.network().dumpDiag(out, currentCycle);
     std::fprintf(out, ",\"recentTrace\":[");
-    const auto recent = Trace::instance().ringSnapshot();
-    for (std::size_t i = 0; i < recent.size(); i++) {
-        std::fprintf(out, "%s\"%s\"", i ? "," : "",
-                     jsonEscape(recent[i]).c_str());
+    if (obs_) {
+        const char *sep = "";
+        for (const std::string &line : obs_->recentTrace()) {
+            std::fprintf(out, "%s\"%s\"", sep, jsonEscape(line).c_str());
+            sep = ",";
+        }
     }
     std::fprintf(out, "]}");
 }
@@ -1035,11 +978,11 @@ System::statsJson() const
         j += ",\n  \"timeseries\": " + ts_->toJson();
     // Attribution profiler (absent — not empty — when profiling is off,
     // keeping the off-mode dump byte-identical to pre-profiler builds).
-    if (profiler_)
-        j += ",\n  \"profile\": " + profiler_->toJson();
+    if (profiler())
+        j += ",\n  \"profile\": " + profiler()->toJson();
     // Span tracker (same absent-when-off contract as "profile").
-    if (spans_)
-        j += ",\n  \"spans\": " + spans_->toJson();
+    if (spans())
+        j += ",\n  \"spans\": " + spans()->toJson();
     return j + "\n}\n";
 }
 

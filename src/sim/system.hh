@@ -23,9 +23,8 @@
 #include "mem/memsystem.hh"
 #include "sim/checker.hh"
 #include "sim/faults.hh"
-#include "sim/profile.hh"
+#include "sim/observer.hh"
 #include "sim/runspec.hh"
-#include "sim/span.hh"
 
 namespace rowsim
 {
@@ -171,12 +170,13 @@ class System
     Checker &checker() { return *checker_; }
     /** The fault injector; nullptr unless faults are enabled. */
     FaultInjector *faults() { return faults_.get(); }
+    /** The observer every component reports to; nullptr when tracing,
+     *  the ring, checks, profiling and spans are all off. */
+    Observer *observer() const { return obs_.get(); }
     /** The attribution profiler; nullptr unless profiling is enabled. */
-    Profiler *profiler() { return profiler_.get(); }
-    const Profiler *profiler() const { return profiler_.get(); }
+    Profiler *profiler() const { return obs_ ? obs_->profiler() : nullptr; }
     /** The span tracker; nullptr unless span tracing is enabled. */
-    SpanTracker *spans() { return spans_.get(); }
-    const SpanTracker *spans() const { return spans_.get(); }
+    SpanTracker *spans() const { return obs_ ? obs_->spans() : nullptr; }
     /** The metric time-series engine; nullptr unless enabled (ROWSIM_TS
      *  / SystemParams::timeseries, or implied by ROWSIM_CONVERGE). */
     TimeSeriesEngine *timeseries() { return ts_.get(); }
@@ -239,23 +239,14 @@ class System
     /** Jump currentCycle to just before the next event when the whole
      *  system is idle (run() only). */
     void maybeFastForward();
-    /** Apply trace / interval-stats / time-series / heartbeat setup. */
+    /** Build the observer and wire it into every component; open the
+     *  trace sinks; set up interval stats, time series and heartbeat. */
     void setupObservability();
-    /** Make this thread's trace gate this System's (sink categories and
-     *  ring): at construction and on entry to runLoop / runCycles /
-     *  drain, once per call. */
-    void applyTraceGate() const;
     /** Heartbeat run-progress probe, entered from runLoop on a coarse
      *  cycle grid; emits when the wall-clock period elapsed. */
     void heartbeatProbe(std::uint64_t iter_quota);
     /** Wire the invariant checker and fault injector. */
     void setupSelfChecking();
-    /** Build the Profiler when the spec selects a category and wire it
-     *  into cores / caches / directory banks. */
-    void setupProfiling();
-    /** Build the SpanTracker when spans are on and wire it into
-     *  cores / caches / banks / network. */
-    void setupSpans();
     /** Per-core / per-structure forward-progress watchdog: panics naming
      *  the stuck component instead of a bare global "deadlock?". */
     void watchdogScan();
@@ -297,12 +288,7 @@ class System
 
     std::unique_ptr<Checker> checker_;
     std::unique_ptr<FaultInjector> faults_;
-    std::unique_ptr<Profiler> profiler_;
-    std::unique_ptr<SpanTracker> spans_;
-
-    /** This System's effective trace gate (see applyTraceGate). */
-    std::uint32_t traceSinkMask_ = 0;
-    std::size_t traceRing_ = 0;
+    std::unique_ptr<Observer> obs_;
 
     IntervalStats intervalStats_;
     StatGroup simStats_{"sim"};

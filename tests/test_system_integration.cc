@@ -195,12 +195,14 @@ TEST(SystemIntegration, ObservabilityGatesBelongToEachSystem)
         SystemParams sp = makeParams(eagerConfig(), 8, 1);
         sp.traceCategories = "atomic";
         System tracing(sp, makeStreams(profileFor("pc"), 8, 1));
-        EXPECT_TRUE(Trace::enabled(TraceCategory::Atomic));
+        ASSERT_NE(tracing.observer(), nullptr);
+        EXPECT_TRUE(tracing.observer()->tracing(TraceCategory::Atomic));
     }
     System plain(makeParams(eagerConfig(), 8, 1),
                  makeStreams(profileFor("pc"), 8, 1));
-    EXPECT_FALSE(Trace::enabled(TraceCategory::Atomic));
-    EXPECT_FALSE(Trace::anyEnabled());
+    const Observer *quiet = plain.observer();
+    EXPECT_FALSE(quiet && quiet->tracing(TraceCategory::Atomic));
+    EXPECT_EQ(quiet, nullptr); // no gate of any category
 
     // ... nor may a System built later take the gate from one still
     // alive: A traces when it runs after a plain B was built, and B's
@@ -212,7 +214,9 @@ TEST(SystemIntegration, ObservabilityGatesBelongToEachSystem)
     System a(sa, makeStreams(profileFor("pc"), 8, 1));
     System b(makeParams(eagerConfig(), 8, 1),
              makeStreams(profileFor("pc"), 8, 1));
-    EXPECT_FALSE(Trace::anyEnabled());
+    EXPECT_EQ(b.observer(), nullptr);
+    ASSERT_NE(a.observer(), nullptr);
+    EXPECT_TRUE(a.observer()->tracing(TraceCategory::Atomic));
     std::FILE *text = std::tmpfile();
     ASSERT_NE(text, nullptr);
     Trace &t = Trace::instance();

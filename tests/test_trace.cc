@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the trace layer: category parsing, runtime gating, text-sink
- * ordering, Chrome trace-event JSON well-formedness, and the end-to-end
- * guarantee that the lock->unlock duration events in the Chrome trace
- * agree with the lockToUnlock metric of the run's report.
+ * Tests for the trace layer: category parsing, gating on a System's
+ * observer, text-sink ordering, Chrome trace-event JSON well-formedness,
+ * and the end-to-end guarantee that the lock->unlock duration events in
+ * the Chrome trace agree with the lockToUnlock metric of the run's
+ * report.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "common/trace.hh"
 #include "sim/experiment.hh"
+#include "sim/observer.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
@@ -26,15 +28,21 @@ using namespace rowsim;
 namespace
 {
 
-/** Reset the singleton's sinks and mask after each test. */
+/** Close this thread's sinks after each test. */
 struct TraceGuard
 {
-    ~TraceGuard()
-    {
-        Trace::instance().configure(0);
-        Trace::instance().closeAll();
-    }
+    ~TraceGuard() { Trace::instance().closeAll(); }
 };
+
+/** The observer of a System tracing @p mask and nothing else (nullptr
+ *  for an empty mask: such a System has no observer). */
+std::unique_ptr<Observer>
+tracingObserver(std::uint32_t mask)
+{
+    RunSpec spec;
+    spec.traceParamsMask = mask;
+    return Observer::make(spec, SystemParams{});
+}
 
 /** Read an entire FILE* (rewinding first). */
 std::string
@@ -106,15 +114,15 @@ TEST(TraceGating, DisabledCategoriesEmitNothing)
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     Trace::instance().setTextSink(tmp, false);
-    Trace::instance().configure(
-        static_cast<std::uint32_t>(TraceCategory::Atomic));
+    const auto obs =
+        tracingObserver(static_cast<std::uint32_t>(TraceCategory::Atomic));
 
-    EXPECT_TRUE(Trace::anyEnabled());
-    EXPECT_TRUE(Trace::enabled(TraceCategory::Atomic));
-    EXPECT_FALSE(Trace::enabled(TraceCategory::Coherence));
+    ASSERT_NE(obs, nullptr);
+    EXPECT_TRUE(obs->tracing(TraceCategory::Atomic));
+    EXPECT_FALSE(obs->tracing(TraceCategory::Coherence));
 
-    ROWSIM_TRACE(TraceCategory::Atomic, 10, "visible %d", 1);
-    ROWSIM_TRACE(TraceCategory::Coherence, 20, "invisible %d", 2);
+    ROWSIM_TRACE(obs, TraceCategory::Atomic, 10, "visible %d", 1);
+    ROWSIM_TRACE(obs, TraceCategory::Coherence, 20, "invisible %d", 2);
 
     std::string out = slurp(tmp);
     Trace::instance().setTextSink(nullptr, false);
@@ -128,13 +136,22 @@ TEST(TraceGating, DisabledCategoriesEmitNothing)
 TEST(TraceGating, MaskOffShortCircuitsArgumentEvaluation)
 {
     TraceGuard guard;
-    Trace::instance().configure(0);
+    // No observer at all (everything off) ...
+    const auto none = tracingObserver(0);
+    EXPECT_EQ(none, nullptr);
+    // ... or one that exists for the profiler but traces nothing.
+    RunSpec spec;
+    spec.profileMask = static_cast<std::uint32_t>(ProfCategory::Cpi);
+    const auto profiling = Observer::make(spec, SystemParams{});
+    ASSERT_NE(profiling, nullptr);
     int evaluations = 0;
     auto expensive = [&evaluations] {
         evaluations++;
         return 42;
     };
-    ROWSIM_TRACE(TraceCategory::Atomic, 1, "never %d", expensive());
+    ROWSIM_TRACE(none, TraceCategory::Atomic, 1, "never %d", expensive());
+    ROWSIM_TRACE(profiling, TraceCategory::Atomic, 1, "never %d",
+                 expensive());
     EXPECT_EQ(evaluations, 0);
 }
 
@@ -144,11 +161,11 @@ TEST(TraceText, EventsAppearInEmissionOrder)
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     Trace::instance().setTextSink(tmp, false);
-    Trace::instance().configure(traceCategoryAll);
+    const auto obs = tracingObserver(traceCategoryAll);
 
-    ROWSIM_TRACE(TraceCategory::Atomic, 100, "first");
-    ROWSIM_TRACE(TraceCategory::Network, 200, "second");
-    ROWSIM_TRACE(TraceCategory::Directory, 300, "third");
+    ROWSIM_TRACE(obs, TraceCategory::Atomic, 100, "first");
+    ROWSIM_TRACE(obs, TraceCategory::Network, 200, "second");
+    ROWSIM_TRACE(obs, TraceCategory::Directory, 300, "third");
 
     std::string out = slurp(tmp);
     Trace::instance().setTextSink(nullptr, false);
@@ -174,8 +191,9 @@ TEST(TraceJson, EmitsWellFormedChromeTrace)
 {
     TraceGuard guard;
     const std::string path = "rowsim_test_trace_events.json";
+    // The sink writes what it is given; the gate is the System's
+    // observer (see DisabledCategorySuppressesEvents).
     Trace &t = Trace::instance();
-    t.configure(traceCategoryAll);
     ASSERT_TRUE(t.openJson(path));
 
     t.nameProcess(0, "core0");
@@ -229,16 +247,21 @@ TEST(TraceJson, DisabledCategorySuppressesEvents)
     TraceGuard guard;
     const std::string path = "rowsim_test_trace_gated.json";
     Trace &t = Trace::instance();
-    t.configure(static_cast<std::uint32_t>(TraceCategory::Atomic));
+    const auto obs =
+        tracingObserver(static_cast<std::uint32_t>(TraceCategory::Atomic));
     ASSERT_TRUE(t.openJson(path));
-    t.complete(TraceCategory::Network, tracePidNetwork, 0, "GetX", 0, 10);
-    t.complete(TraceCategory::Atomic, 0, traceTidAtomics, "lock", 0, 10);
+    // A System tracing "atomic": a delivered GetX (network) leaves no
+    // record, a stolen lock (atomic) leaves its one instant.
+    Msg getx;
+    getx.type = MsgType::GetX;
+    obs->messageDelivered(getx, /*order=*/0, /*now=*/10);
+    obs->atomicForcedUnlock(/*core=*/0, /*seq=*/1, /*span=*/0, 0x40, 10);
     t.closeJson();
 
     Json root = JsonParser(slurpFile(path)).parse();
     std::remove(path.c_str());
     ASSERT_EQ(root.at("traceEvents").arr.size(), 1u);
-    EXPECT_EQ(root.at("traceEvents").arr[0].at("name").str, "lock");
+    EXPECT_EQ(root.at("traceEvents").arr[0].at("name").str, "forcedUnlock");
 }
 
 // ---------------------------------------------------------------------
